@@ -115,7 +115,7 @@ def run_bench(report_path: str | Path | None = None) -> dict:
 
     # -- q=1 parity: the batch plumbing must be invisible ------------------
     sequential, _ = _run(ctx)
-    q1, _ = _run(ctx, batch_engine=True, batch_size=1, eval_workers=1)
+    q1, _ = _run(ctx, batch_size=1, eval_workers=1)
     seq_hist = _history_fingerprint(sequential)
     assert seq_hist == _history_fingerprint(q1), "q=1 diverged from sequential"
     assert sequential.cs_indices == q1.cs_indices

@@ -1,19 +1,13 @@
-"""Batch Bayesian optimization: qPEIPV acquisition + async evaluation.
+"""The BO loop's evaluation side: proposal pipeline + async evaluation.
 
-The subsystem generalizes the sequential Algorithm-2 loop
-(:class:`repro.core.optimizer.CorrelatedMFBO`) to propose a batch of
-``q`` candidates per round (greedy Kriging-believer fantasization,
-:mod:`repro.core.batch.qeipv`) and evaluate them concurrently on a
-pool of flow workers (:mod:`repro.core.batch.engine`), with results
-committed in proposal order so fixed-seed runs are reproducible
-regardless of worker timing.  ``batch_size=1, eval_workers=1`` reduces
-bitwise to the sequential optimizer.
-
-:mod:`repro.core.batch.async_engine` removes the round barrier
-entirely: a continuous pipeline commits each outcome at its modeled
-completion time and re-proposes immediately, with an adaptive
-in-flight target; ``inflight_target=1`` also reduces bitwise to the
-sequential optimizer.
+:mod:`repro.core.batch.async_engine` runs Algorithm 2 as one
+propose/commit pipeline (:func:`run_async_loop`): by default one
+evaluation in flight (the paper's sequential loop), a round barrier of
+``q`` greedy Kriging-believer proposals with ``batch_size=q``
+(:mod:`repro.core.batch.qeipv`), or commit-as-completed with an
+adaptive in-flight target.  Evaluations run on a pool of flow workers
+(:mod:`repro.core.batch.engine`) and are committed in a modeled order,
+so fixed-seed runs are reproducible regardless of worker timing.
 """
 
 from repro.core.batch.async_engine import (
@@ -28,23 +22,20 @@ from repro.core.batch.engine import (
     EvalOutcome,
     FlowEvalError,
     parallel_fidelity_sweep,
-    run_batch_loop,
 )
-from repro.core.batch.qeipv import BatchProposal, select_batch
+from repro.core.batch.qeipv import believer_fantasies
 from repro.core.batch.workers import resolve_worker_count
 
 __all__ = [
     "AsyncState",
-    "BatchProposal",
     "EvalEngine",
     "EvalJob",
     "EvalOutcome",
     "FlowEvalError",
     "PendingEval",
+    "believer_fantasies",
     "parallel_fidelity_sweep",
     "replay_async",
     "resolve_worker_count",
     "run_async_loop",
-    "run_batch_loop",
-    "select_batch",
 ]

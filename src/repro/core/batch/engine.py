@@ -1,18 +1,19 @@
-"""Async flow-evaluation engine and the batched BO loop.
+"""Flow-evaluation engine: a worker pool behind a submit/wait contract.
 
-The engine evaluates a round's proposals concurrently on a pool of
-flow workers while keeping the optimizer deterministic:
+The BO loop (:func:`repro.core.batch.async_engine.run_async_loop`)
+submits each proposal as it is made and waits on whichever evaluation
+it commits next, while the optimizer stays deterministic:
 
 - **Per-worker flow clones.**  ``HlsFlow``'s LRU report cache is a
   plain ``OrderedDict`` (not thread-safe), so each worker thread lazily
   builds its own flow via ``type(flow)(kernel, schema, device)`` —
   value-identical because reports are deterministic per configuration.
   Tests can inject a ``flow_factory`` instead.
-- **Completion-order-independent folding.**  :meth:`EvalEngine.evaluate`
-  returns outcomes in *proposal* order no matter which worker finishes
-  first, and :func:`run_batch_loop` commits them to the GP datasets in
-  that order — so the committed datasets, traces and final Pareto set
-  for a fixed seed do not depend on worker timing.
+- **Completion-order-independent folding.**  :meth:`EvalEngine.wait`
+  blocks on the job the *caller* names, so the loop folds outcomes in
+  its own modeled order no matter which worker finishes first — the
+  committed datasets, traces and final Pareto set for a fixed seed do
+  not depend on worker timing.
 - **Resilience.**  Worker-side evaluations run under the optimizer's
   :class:`repro.core.resilience.retry.RetryPolicy` — crashes are
   retried with backoff, retry exhaustion degrades the request down the
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch.qeipv import select_batch
 from repro.core.batch.workers import resolve_worker_count
 from repro.core.resilience.retry import (
     AttemptFailure,
@@ -49,15 +49,12 @@ from repro.core.resilience.retry import (
 from repro.hlsim.flow import _stable_seed
 from repro.hlsim.reports import ALL_FIDELITIES, Fidelity, FlowResult
 from repro.obs.spans import NULL_SPANS
-from repro.obs.timing import Metrics
-from repro.obs.trace import TRACE_SCHEMA_VERSION
 
 __all__ = [
     "EvalJob",
     "EvalOutcome",
     "FlowEvalError",
     "EvalEngine",
-    "run_batch_loop",
     "parallel_fidelity_sweep",
 ]
 
@@ -116,7 +113,7 @@ class EvalEngine:
     exercise real thread interleaving on small machines).  With one
     worker and no timeout, evaluations run inline on the calling thread
     against the *original* flow object, so the single-worker path
-    shares the sequential optimizer's report cache exactly.
+    shares the optimizer's own report cache exactly.
     """
 
     def __init__(
@@ -236,10 +233,9 @@ class EvalEngine:
         """Start one job, returning a handle for :meth:`wait`.
 
         With one worker and no timeout the evaluation runs inline on
-        the calling thread (sharing the sequential flow's report cache
-        exactly — the async ``inflight_target=1`` parity path) and the
-        handle *is* the finished :class:`EvalOutcome`; otherwise it is
-        the pool future.
+        the calling thread (sharing the optimizer's flow and its report
+        cache exactly) and the handle *is* the finished
+        :class:`EvalOutcome`; otherwise it is the pool future.
         """
         if self.workers == 1 and self.timeout_s is None:
             return self._evaluate_inline(job)
@@ -254,15 +250,6 @@ class EvalEngine:
         if isinstance(handle, EvalOutcome):
             return handle
         return self._collect(job, handle)
-
-    def evaluate(self, jobs: list[EvalJob]) -> list[EvalOutcome]:
-        """Run ``jobs``; outcomes come back in proposal (``jobs``) order."""
-        if not jobs:
-            return []
-        handles = [self.submit(job) for job in jobs]
-        return [
-            self.wait(job, handle) for job, handle in zip(jobs, handles)
-        ]
 
     def _evaluate_inline(self, job: EvalJob) -> EvalOutcome:
         start = time.perf_counter()
@@ -402,161 +389,6 @@ class EvalEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# the batched BO loop
-# ----------------------------------------------------------------------
-
-
-def run_batch_loop(
-    opt, start_step: int = 0, start_round: int = 0, engine=None
-) -> None:
-    """Rounds of (fit → qPEIPV batch → concurrent evaluate → commit).
-
-    Drives a :class:`repro.core.optimizer.CorrelatedMFBO` whose initial
-    design is already evaluated.  ``n_iter`` counts total evaluations
-    (the last round shrinks to fit); the refit cadence keys off each
-    round's *first* step index, so at ``batch_size=1`` the fit schedule
-    matches the sequential loop exactly.  ``start_step``/``start_round``
-    let a journal-resumed run (see :mod:`repro.core.resilience.journal`)
-    pick up mid-trajectory.  ``engine`` injects any object honoring the
-    :class:`EvalEngine` submit/wait/evaluate/close contract (e.g. a
-    :class:`repro.fleet.executor.RemoteExecutor`); the loop owns it and
-    closes it on exit.
-    """
-    settings = opt.settings
-    tracer = opt.tracer
-    if engine is None:
-        engine = EvalEngine(
-            opt.space,
-            opt.flow,
-            workers=settings.eval_workers,
-            timeout_s=settings.eval_timeout_s,
-            retry_policy=opt._retry_policy,
-            seed=settings.seed,
-            spans=opt.spans,
-        )
-    spans = opt.spans
-    try:
-        t = start_step
-        rnd = start_round
-        while t < settings.n_iter:
-            q = min(settings.batch_size, settings.n_iter - t)
-            with spans.span("round", cat="step", step=t, round=rnd, q=q):
-                before = opt.metrics.snapshot()
-                select_start = time.perf_counter()
-                optimize = (t % settings.refit_every) == 0
-                with opt.metrics.timed("fit_s"), spans.span(
-                    "fit", cat="fit", step=t, optimize=optimize
-                ):
-                    opt._fit_stack(optimize=optimize)
-                with spans.span("select", cat="acquire", step=t):
-                    proposals = select_batch(opt, q, step0=t)
-                select_s = time.perf_counter() - select_start
-                if not proposals:
-                    break  # design space exhausted
-                if tracer is not None:
-                    _trace_proposals(opt, rnd, proposals, select_s, before)
-                jobs = [
-                    EvalJob(
-                        order=p.slot,
-                        step=p.step,
-                        config_index=p.config_index,
-                        fidelity=p.fidelity,
-                    )
-                    for p in proposals
-                ]
-                outcomes = engine.evaluate(jobs)
-            for proposal, outcome in zip(proposals, outcomes):
-                if outcome.error is not None:
-                    raise FlowEvalError(
-                        f"evaluation of config {proposal.config_index} at "
-                        f"{proposal.fidelity.short_name} (step "
-                        f"{proposal.step}) failed on worker "
-                        f"{outcome.worker or '?'}:\n{outcome.error}"
-                    )
-                opt.metrics.add_time("eval_s", outcome.exec_s)
-                opt._fold_outcome(
-                    proposal.config_index,
-                    proposal.fidelity,
-                    outcome.outcome,
-                    acquisition=proposal.acquisition,
-                    step=proposal.step,
-                )
-                if tracer is not None:
-                    _trace_commit(opt, rnd, proposal, outcome)
-            t += len(proposals)
-            rnd += 1
-            if len(proposals) < q:
-                break  # pool ran dry mid-round
-    finally:
-        engine.close()
-
-
-def _trace_proposals(opt, rnd, proposals, select_s, before) -> None:
-    for p in proposals:
-        opt.tracer.write(
-            {
-                "v": TRACE_SCHEMA_VERSION,
-                "event": "proposal",
-                "round": rnd,
-                "slot": p.slot,
-                "step": p.step,
-                "config_index": p.config_index,
-                "fidelity": p.fidelity.short_name,
-                "acquisition": p.acquisition,
-                "fantasy": [float(v) for v in p.fantasy],
-                "pool_size": p.pool_size,
-                "eta_s": None,  # async-only (v6): no modeled clock here
-                "target": None,
-            }
-        )
-    delta = Metrics.delta(before, opt.metrics.snapshot())
-    in_flight = {f.short_name: 0 for f in ALL_FIDELITIES}
-    for p in proposals:
-        in_flight[p.fidelity.short_name] += 1
-    opt.tracer.write(
-        {
-            "v": TRACE_SCHEMA_VERSION,
-            "event": "pending",
-            "round": rnd,
-            "n_pending": len(proposals),
-            "in_flight": in_flight,
-            "fit_s": delta.get("fit_s", 0.0),
-            "select_s": select_s,
-        }
-    )
-
-
-def _trace_commit(opt, rnd, proposal, outcome) -> None:
-    record = opt._history[-1]
-    opt.tracer.write(
-        {
-            "v": TRACE_SCHEMA_VERSION,
-            "event": "commit",
-            "round": rnd,
-            "slot": proposal.slot,
-            "step": proposal.step,
-            "config_index": proposal.config_index,
-            "fidelity": record.fidelity.short_name,
-            "valid": record.valid,
-            "objectives": [float(v) for v in record.objectives],
-            "fantasy": [float(v) for v in proposal.fantasy],
-            "flow_runtime_s": record.runtime_s,
-            "queue_wait_s": outcome.queue_wait_s,
-            "exec_s": outcome.exec_s,
-            "worker": outcome.worker,
-            "attempts": record.attempts,
-            "requested_fidelity": proposal.fidelity.short_name,
-            "degraded": record.degraded,
-            "failed": record.failed,
-            "wasted_runtime_s": outcome.outcome.wasted_runtime_s
-            if outcome.outcome is not None
-            else 0.0,
-            "inflight": None,  # async-only (v6): rounds imply the pending set
-        }
-    )
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,18 @@
-"""Greedy q-point PEIPV batch acquisition via Kriging-believer fantasies.
+"""Kriging-believer fantasies: the q-point side of PEIPV.
 
-The sequential optimizer picks the single (configuration, fidelity)
-pair maximizing cost-penalized EIPV.  To propose *q* candidates per
-round without re-running the flow in between, :func:`select_batch`
-iterates the same scan greedily: after each pick it pretends the
-candidate's outcome is already known — the surrogate stack's posterior
-mean at every fidelity level up to the chosen one (the Kriging
-believer) — conditions the stack on those fantasy observations
-(``fit(..., optimize=False)``: pure linear algebra, hyperparameters
-untouched, so the warm-start trajectory is unaffected), and extends the
-working Pareto front with the fantasy point so the next pick's EIPV
-decomposition (:func:`repro.core.pareto.dominated_boxes`) sees the
-pending candidate's believed contribution.
+The optimizer picks the (configuration, fidelity) pair maximizing
+cost-penalized EIPV.  To keep proposing while earlier picks are still
+being evaluated, the BO loop (:mod:`repro.core.batch.async_engine`)
+pretends each pending candidate's outcome is already known — the
+surrogate stack's posterior mean at every fidelity level up to the
+chosen one (the Kriging believer) — conditions the stack on those
+fantasy observations (``fit(..., optimize=False, ephemeral=True)``:
+pure linear algebra, hyperparameters untouched, so the warm-start
+trajectory is unaffected), and extends the working Pareto front with
+the fantasy points so the next pick's EIPV decomposition
+(:func:`repro.core.pareto.dominated_boxes`) sees the pending
+candidates' believed contribution.  Greedy qPEIPV is that loop with a
+round barrier.
 
 Believer values at every level an evaluation would fill come from
 **one** stacked :meth:`predict_levels` sweep per pick
@@ -19,40 +20,15 @@ Believer values at every level an evaluation would fill come from
 the chain re-derives each lower level exactly once, bitwise identical
 to the per-level calls (the stacks' documented contract), and the
 sweep's solve flops land in the ``fantasy_*`` buckets.
-
-Slot 0 consumes the rng exactly like the sequential
-:meth:`CorrelatedMFBO._select` (same candidate-pool subsample, same
-common random numbers in ``eipv_mc``), so ``q=1`` reduces bitwise to
-the sequential selection — regression-tested in ``tests/test_batch.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core import linalg
-from repro.core.pareto import dominated_boxes, pareto_front
 from repro.hlsim.reports import ALL_FIDELITIES, Fidelity
 
-__all__ = ["BatchProposal", "believer_fantasies", "select_batch"]
-
-
-@dataclass(frozen=True)
-class BatchProposal:
-    """One slot of a batch round, before evaluation."""
-
-    slot: int
-    step: int
-    config_index: int
-    fidelity: Fidelity
-    acquisition: float
-    #: Kriging-believer posterior mean at the chosen fidelity — the
-    #: objectives the stack was conditioned on while the candidate was
-    #: pending.  Traced next to the realized objectives at commit time.
-    fantasy: np.ndarray
-    pool_size: int
+__all__ = ["believer_fantasies"]
 
 
 def believer_fantasies(
@@ -82,77 +58,6 @@ def believer_fantasies(
         for level in missing
     }
     return fantasy, fantasy_levels
-
-
-def select_batch(opt, q: int, step0: int) -> list[BatchProposal]:
-    """Greedily propose up to ``q`` distinct candidates for one round.
-
-    ``opt`` is a :class:`repro.core.optimizer.CorrelatedMFBO` whose
-    stack has just been fit on the real datasets.  Candidates already
-    proposed in this round are excluded from later slots' pools (one
-    flow evaluation per configuration per round).  Returns fewer than
-    ``q`` proposals when the design space runs dry.
-
-    Side effect: when more than one slot is filled, the stack is left
-    conditioned on the round's fantasies.  The caller's next real
-    ``_fit_stack`` replaces them (fantasy fits overwrite the stack's
-    fitted-data snapshot, so the refit is never skipped).
-    """
-    settings = opt.settings
-    front, ref = opt._front_and_reference()
-    fantasy_front = front
-    exclude: set[int] = set()
-    fantasy_X = {f: [] for f in ALL_FIDELITIES}
-    fantasy_Y = {f: [] for f in ALL_FIDELITIES}
-    proposals: list[BatchProposal] = []
-    for slot in range(q):
-        with opt.metrics.timed("hvi_s"):
-            boxes = dominated_boxes(fantasy_front, ref)
-        pool = opt._candidate_pool(exclude=exclude)
-        opt._last_pool_size = int(pool.size)
-        if pool.size == 0:
-            break
-        choice = opt._scan_best(pool, fantasy_front, ref, boxes)
-        if choice is None:
-            break
-        index, fidelity, score = choice
-        with linalg.metered(opt.metrics, "fantasy"):
-            fantasy, fantasy_levels = believer_fantasies(opt, index, fidelity)
-        proposals.append(
-            BatchProposal(
-                slot=slot,
-                step=step0 + slot,
-                config_index=index,
-                fidelity=fidelity,
-                acquisition=score,
-                fantasy=fantasy,
-                pool_size=int(pool.size),
-            )
-        )
-        exclude.add(index)
-        if slot + 1 >= q:
-            break
-        x_row = np.asarray(opt.space.features[index], dtype=float)
-        for level, y in fantasy_levels.items():
-            fantasy_X[level].append(x_row)
-            fantasy_Y[level].append(y)
-        # Ephemeral conditioning: each slot's factor extends the
-        # previous slot's (pure block extension when ``incremental``),
-        # and the round's next *real* fit extends from the last durable
-        # state, untouched by the fantasy detour.
-        with opt.metrics.timed("fit_s"), linalg.metered(
-            opt.metrics, "fantasy"
-        ):
-            opt._stack.fit(
-                _fantasized_datasets(opt, fantasy_X, fantasy_Y),
-                optimize=False,
-                warm_start=settings.warm_start,
-                ephemeral=True,
-            )
-        fantasy_front = pareto_front(
-            np.vstack([fantasy_front, fantasy[None, :]])
-        )
-    return proposals
 
 
 def _fantasized_datasets(opt, fantasy_X, fantasy_Y):

@@ -347,8 +347,19 @@ class MultiTaskGP:
         m = self.n_tasks
         nk = self._nk(dim)
         if Z.shape[0] >= 3:
-            corr = np.corrcoef(Z.T)
-            corr = np.nan_to_num(corr, nan=0.0)
+            # ``np.corrcoef``, except that a zero-variance objective
+            # (e.g. a level whose every observation was punished to the
+            # same value) is uncorrelated with the others rather than
+            # a 0/0 division.
+            corr = np.atleast_2d(np.cov(Z.T))
+            std = np.sqrt(np.diag(corr))
+            flat = std == 0.0
+            std[flat] = 1.0
+            corr /= std[:, None]
+            corr /= std[None, :]
+            np.clip(corr, -1.0, 1.0, out=corr)
+            corr[flat, :] = 0.0
+            corr[:, flat] = 0.0
             np.fill_diagonal(corr, 1.0)
         else:
             corr = np.eye(m)

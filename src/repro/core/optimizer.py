@@ -31,16 +31,18 @@ optimization trajectory slightly but cuts refit time severalfold
 speedup and the cached sweep's exactness).  Pass a ``tracer`` to stream
 a structured per-step JSONL trace (:mod:`repro.obs.trace`).
 
-Batch mode.  ``batch_size``/``eval_workers`` switch the same optimizer
-onto the qPEIPV + async-evaluation engine in :mod:`repro.core.batch`:
-a greedy Kriging-believer batch of candidates per round, evaluated
-concurrently and committed in proposal order.  ``batch_size=1,
-eval_workers=1`` reduces bitwise to the sequential loop.
+One loop.  Steps 1–3 run inside
+:func:`repro.core.batch.async_engine.run_async_loop`, a propose/commit
+pipeline whose settings select the mode: one evaluation in flight by
+default (the sequential Algorithm 2), a round barrier of ``batch_size``
+greedy Kriging-believer proposals, or commit-as-completed with
+``async_engine``/``inflight_target``.  Evaluations run on
+``eval_workers`` flow workers and are committed in a modeled order, so
+a fixed seed gives the same trajectory whatever the worker timing.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,13 +50,13 @@ import numpy as np
 
 from repro.core import linalg
 from repro.core.acquisition import eipv_mc, penalized_eipv
+from repro.core.batch.async_engine import replay_async, run_async_loop
 from repro.core.multifidelity import (
     LinearMultiFidelityStack,
     NonlinearMultiFidelityStack,
 )
 from repro.core.pareto import (
     default_reference,
-    dominated_boxes,
     pareto_front,
     pareto_mask,
 )
@@ -107,22 +109,12 @@ class MFBOSettings:
     # roundoff at the last ulp, regression-bounded at 1e-10 and
     # trajectory-tested against the full-refit reference.
     incremental: bool = True
-    # Batch mode (qPEIPV + async evaluation, :mod:`repro.core.batch`).
-    # ``batch_size`` candidates are proposed per round via greedy
-    # Kriging-believer fantasization and evaluated on ``eval_workers``
-    # flow workers; results are committed in proposal order so traces
-    # stay reproducible for a fixed seed regardless of worker timing.
-    # ``batch_engine=None`` auto-enables the batch loop iff either knob
-    # exceeds 1; set it to True to force the batch code path even at
-    # ``batch_size=1, eval_workers=1`` (bitwise-identical to the
-    # sequential loop — regression-tested).
-    batch_size: int = 1
-    eval_workers: int = 1
-    eval_timeout_s: float | None = None
-    batch_engine: bool | None = None
-    # Async mode (:mod:`repro.core.batch.async_engine`).  Instead of
-    # round barriers, ``run_async_loop`` keeps an adaptive number of
-    # evaluations in flight, commits each outcome the moment its
+    # Loop modes (:mod:`repro.core.batch.async_engine`).  By default
+    # one evaluation is in flight at a time: the sequential loop.
+    # ``batch_size=q>1`` runs a round barrier: q greedy Kriging-believer
+    # proposals (qPEIPV), evaluated on ``eval_workers`` flow workers and
+    # committed in proposal order.  Async mode keeps evaluations in
+    # flight without a barrier, commits each outcome the moment its
     # *modeled* completion time arrives (deterministic — wall timing
     # never shapes the trajectory) and immediately re-proposes against
     # the remaining pending set's Kriging-believer fantasies.
@@ -130,8 +122,11 @@ class MFBOSettings:
     # (in-flight target grows while fantasies keep moving the Pareto
     # front, shrinks toward 1 when they stop, capped at
     # ``eval_workers``); ``inflight_target`` pins the target instead
-    # (and implies async mode).  ``inflight_target=1`` reduces bitwise
-    # to the sequential loop — regression-tested.
+    # (and implies async mode).  ``inflight_target=1`` is the
+    # sequential loop — regression-tested.
+    batch_size: int = 1
+    eval_workers: int = 1
+    eval_timeout_s: float | None = None
     async_engine: bool = False
     inflight_target: int | None = None
     # Resilience (:mod:`repro.core.resilience`).  Flow evaluations are
@@ -207,14 +202,6 @@ class MFBOSettings:
         )
 
     @property
-    def use_batch_engine(self) -> bool:
-        if self.use_async_engine:
-            return False
-        if self.batch_engine is not None:
-            return self.batch_engine
-        return self.batch_size > 1 or self.eval_workers > 1
-
-    @property
     def use_async_engine(self) -> bool:
         return self.async_engine or self.inflight_target is not None
 
@@ -278,7 +265,7 @@ class CorrelatedMFBO:
         self.method_name = method_name
         self.tracer = tracer
         # Optional ``opt -> engine`` hook: builds the evaluation engine
-        # the batch/async loops drive instead of the default in-process
+        # the BO loop drives instead of the default in-process
         # EvalEngine (e.g. repro.fleet.executor.RemoteExecutor).  The
         # loop closes whatever this returns.
         self.engine_factory = engine_factory
@@ -299,7 +286,6 @@ class CorrelatedMFBO:
         self._runtime = 0.0
         self._history: list[StepRecord] = []
         self._worst_seen: np.ndarray | None = None
-        self._last_pool_size = 0
         self._stack = self._build_stack()
         self._retry_policy = self.settings.retry_policy()
         # Backoff jitter draws come from a dedicated run-seeded stream:
@@ -449,9 +435,9 @@ class CorrelatedMFBO:
     ) -> None:
         """Fold an already-computed :class:`FlowResult` into the datasets.
 
-        Split out of :meth:`_evaluate` so the batch engine can run flows
-        on worker threads and still commit results on the main thread in
-        proposal order (completion-order independence).  Non-finite
+        Split out of :meth:`_evaluate` so the BO loop can run flows on
+        worker threads and still commit results on the main thread in
+        its modeled order (completion-order independence).  Non-finite
         objectives in an otherwise-valid report are treated as invalid
         (the punishment path) — a garbage tool report must never reach
         a GP fit or the Pareto front.  Every commit is appended to the
@@ -512,12 +498,6 @@ class CorrelatedMFBO:
                 run_journal.commit_record(
                     phase=self._journal_phase,
                     step=step,
-                    round_index=(
-                        step // self.settings.batch_size
-                        if self._journal_phase == "loop"
-                        and not self.settings.use_async_engine
-                        else -1  # async mode has no rounds
-                    ),
                     config_index=index,
                     fidelity=fidelity,
                     requested_fidelity=requested,
@@ -613,24 +593,22 @@ class CorrelatedMFBO:
 
     def run(self) -> OptimizationResult:
         plan = self._prepare_journal()
+        s = self.settings
         if self.tracer is not None:
             record = {
                 "v": TRACE_SCHEMA_VERSION,
                 "event": "run_start",
                 "kernel": self.space.kernel.name,
                 "method": self.method_name,
-                "n_iter": self.settings.n_iter,
-                "seed": self.settings.seed,
-                "cache_predictions": self.settings.cache_predictions,
-                "warm_start": self.settings.warm_start,
+                "n_iter": s.n_iter,
+                "seed": s.seed,
+                "cache_predictions": s.cache_predictions,
+                "warm_start": s.warm_start,
+                "batch_size": s.batch_size,
+                "eval_workers": s.eval_workers,
+                "async_engine": s.use_async_engine,
+                "inflight_target": s.inflight_target,
             }
-            if self.settings.use_batch_engine:
-                record["batch_size"] = self.settings.batch_size
-                record["eval_workers"] = self.settings.eval_workers
-            if self.settings.use_async_engine:
-                record["async_engine"] = True
-                record["inflight_target"] = self.settings.inflight_target
-                record["eval_workers"] = self.settings.eval_workers
             if plan is not None:
                 record["resumed"] = True
             self.tracer.write(record)
@@ -642,51 +620,22 @@ class CorrelatedMFBO:
                 resume_state = None
                 if plan is not None:
                     with self.spans.span("replay", cat="phase"):
-                        if self.settings.use_async_engine:
-                            resume_state = self._replay_async(plan)
-                            start_step, start_round = 0, 0
-                        else:
-                            self._replay(plan)
-                            start_step, start_round = (
-                                plan.next_step, plan.next_round
-                            )
+                        resume_state = replay_async(self, plan)
                     loop_done = plan.loop_done
                 else:
                     self._journal_phase = "init"
                     with self.spans.span("init", cat="phase"):
                         self._initial_design()
-                    start_step, start_round, loop_done = 0, 0, False
+                    loop_done = False
                 self._journal_phase = "loop"
                 if not loop_done:
-                    use_engine_loop = (
-                        self.settings.use_async_engine
-                        or self.settings.use_batch_engine
-                    )
                     engine = (
                         self.engine_factory(self)
-                        if (self.engine_factory is not None and use_engine_loop)
+                        if self.engine_factory is not None
                         else None
                     )
-                    if self.settings.use_async_engine:
-                        from repro.core.batch.async_engine import (
-                            run_async_loop,
-                        )
-
-                        run_async_loop(
-                            self, resume=resume_state, engine=engine
-                        )
-                    elif self.settings.use_batch_engine:
-                        from repro.core.batch.engine import run_batch_loop
-
-                        run_batch_loop(
-                            self,
-                            start_step=start_step,
-                            start_round=start_round,
-                            engine=engine,
-                        )
-                    else:
-                        self._run_sequential_loop(start=start_step)
-                if self.settings.final_verification:
+                    run_async_loop(self, resume=resume_state, engine=engine)
+                if s.final_verification:
                     self._journal_phase = "verify"
                     with self.spans.span("verify", cat="phase"):
                         self._verify_pareto_candidates()
@@ -703,9 +652,7 @@ class CorrelatedMFBO:
         """Commits a complete initial design writes (space-clamped)."""
         return min(self.settings.n_init[0], len(self.space))
 
-    def _prepare_journal(
-        self,
-    ) -> "run_journal.ReplayPlan | run_journal.AsyncReplayPlan | None":
+    def _prepare_journal(self) -> "run_journal.AsyncReplayPlan | None":
         """Open the run journal, building a replay plan when resuming.
 
         ``resume_from`` without an existing journal file (or with one
@@ -719,18 +666,11 @@ class CorrelatedMFBO:
         if resume_from is not None and resume_from.is_file():
             records = run_journal.read_journal(resume_from)
             if records:
-                if s.use_async_engine:
-                    plan = run_journal.build_async_replay_plan(
-                        records, s, expected_init=self._expected_init()
-                    )
-                    if not plan.init_records:
-                        plan = None
-                else:
-                    plan = run_journal.build_replay_plan(
-                        records, s, expected_init=self._expected_init()
-                    )
-                    if not plan.segments:
-                        plan = None
+                plan = run_journal.build_async_replay_plan(
+                    records, s, expected_init=self._expected_init()
+                )
+                if not plan.init_records:
+                    plan = None
         if journal_path is None:
             return None
         if plan is not None:
@@ -759,123 +699,6 @@ class CorrelatedMFBO:
                 },
             )
         return plan
-
-    def _replay(self, plan: run_journal.ReplayPlan) -> None:
-        """Re-derive the journaled run state, bitwise.
-
-        Commits replay through the ordinary :meth:`_commit` path (no
-        journal writes, no flow runs).  Each journaled loop round
-        re-runs its GP *fit* first — warm-started hyperparameter
-        trajectories are path-dependent and restart jitter consumes the
-        RNG — then hard-restores the round's captured post-selection
-        RNG state, so the first live selection sees exactly the
-        generator an uninterrupted run would have.
-        """
-        self._replaying = True
-        try:
-            for segment in plan.segments:
-                self._journal_phase = segment.phase
-                if segment.phase == "loop":
-                    optimize = (
-                        segment.step0 % self.settings.refit_every
-                    ) == 0
-                    with self.metrics.timed("fit_s"):
-                        self._fit_stack(optimize=optimize)
-                for record in segment.records:
-                    self._commit(**run_journal.commit_kwargs(record))
-                self.rng.bit_generator.state = segment.records[-1][
-                    "rng_state"
-                ]
-        finally:
-            self._replaying = False
-        self._verify_attempted = set(plan.verify_attempted)
-        if self.tracer is not None:
-            self.tracer.write(
-                {
-                    "v": TRACE_SCHEMA_VERSION,
-                    "event": "resume",
-                    "journal": str(self._journal.path)
-                    if self._journal
-                    else None,
-                    "replayed": plan.replayed,
-                    "dropped": plan.dropped,
-                    "next_step": plan.next_step,
-                }
-            )
-
-    def _replay_async(self, plan: run_journal.AsyncReplayPlan):
-        """Replay an async journal; returns the loop's resume state.
-
-        Delegates to :func:`repro.core.batch.async_engine.replay_async`
-        so the live loop and the replay share one fit-sequencing
-        implementation (the bitwise-identity requirement).
-        """
-        from repro.core.batch.async_engine import replay_async
-
-        self._replaying = True
-        try:
-            state = replay_async(self, plan)
-        finally:
-            self._replaying = False
-        self._verify_attempted = set(plan.verify_attempted)
-        if self.tracer is not None:
-            self.tracer.write(
-                {
-                    "v": TRACE_SCHEMA_VERSION,
-                    "event": "resume",
-                    "journal": str(self._journal.path)
-                    if self._journal
-                    else None,
-                    "replayed": plan.replayed,
-                    "dropped": plan.dropped,
-                    "next_step": plan.next_step,
-                }
-            )
-        return state
-
-    def _run_sequential_loop(self, start: int = 0) -> None:
-        for t in range(start, self.settings.n_iter):
-            with self.spans.span("step", cat="step", step=t):
-                step_start = time.perf_counter()
-                before = self.metrics.snapshot()
-                optimize = (t % self.settings.refit_every) == 0
-                with self.metrics.timed("fit_s"), self.spans.span(
-                    "fit", cat="fit", step=t, optimize=optimize
-                ):
-                    self._fit_stack(optimize=optimize)
-                choice = self._select(t)
-                if choice is None:
-                    break  # design space exhausted
-                index, fidelity, score = choice
-                self._evaluate(index, fidelity, acquisition=score, step=t)
-                if self.tracer is not None:
-                    self._trace_step(step_start, before)
-
-    def _trace_step(self, step_start: float, before: dict) -> None:
-        record = self._history[-1]
-        delta = Metrics.delta(before, self.metrics.snapshot())
-        self.tracer.write(
-            {
-                "v": TRACE_SCHEMA_VERSION,
-                "event": "step",
-                "step": record.step,
-                "config_index": record.config_index,
-                "fidelity": record.fidelity.short_name,
-                "pool_size": self._last_pool_size,
-                "acquisition": record.acquisition,
-                "valid": record.valid,
-                "flow_runtime_s": record.runtime_s,
-                "fit_s": delta.get("fit_s", 0.0),
-                "predict_s": delta.get("predict_s", 0.0),
-                "hvi_s": delta.get("hvi_s", 0.0),
-                "eval_s": delta.get("eval_s", 0.0),
-                "step_s": time.perf_counter() - step_start,
-                "cache_hits": int(delta.get("cache_hits", 0)),
-                "cache_misses": int(delta.get("cache_misses", 0)),
-                "attempts": record.attempts,
-                "degraded": record.degraded or record.failed,
-            }
-        )
 
     def _verify_pareto_candidates(self) -> None:
         """Run the believed-Pareto candidates up to IMPL (line 16 epilogue).
@@ -986,9 +809,8 @@ class CorrelatedMFBO:
         set is the superset of all of them under the nesting invariant),
         so the per-fidelity PEIPV comparison runs on common candidates
         and common random numbers.  ``exclude`` additionally masks out
-        configurations pending in the current batch round; when empty or
-        None the rng consumption is identical to the unparameterized
-        call (q=1 parity depends on this).
+        the configurations pending evaluation; when empty or None the
+        rng consumption is identical to the unparameterized call.
         """
         mask = ~self._eval_mask[Fidelity.IMPL]
         if exclude:
@@ -1006,7 +828,6 @@ class CorrelatedMFBO:
         front: np.ndarray,
         ref: np.ndarray,
         boxes,
-        exclude: set[int] | None = None,
     ) -> tuple[int, Fidelity, float] | None:
         """Per-fidelity argmax of PEIPV over ``pool``, then the global max.
 
@@ -1015,8 +836,7 @@ class CorrelatedMFBO:
         (:meth:`predict_levels` — each chain level computed exactly
         once, results bitwise identical to per-level ``predict``); a
         fidelity's already-evaluated configurations are masked out of
-        its argmax rather than re-pooled.  ``exclude`` masks batch-round
-        pending configurations out of every fidelity's argmax.
+        its argmax rather than re-pooled.
         """
         metrics = self.metrics
         X = self.space.features[pool]
@@ -1024,13 +844,9 @@ class CorrelatedMFBO:
         stack.begin_step()
         hits0, misses0 = stack.cache_hits, stack.cache_misses
         t_impl = self.flow.stage_time(Fidelity.IMPL)
-        pending = (
-            np.isin(pool, list(exclude)) if exclude else
-            np.zeros(pool.size, dtype=bool)
-        )
         eligibility: dict[Fidelity, np.ndarray] = {}
         for fidelity in ALL_FIDELITIES:
-            eligible = ~self._eval_mask[fidelity][pool] & ~pending
+            eligible = ~self._eval_mask[fidelity][pool]
             if eligible.any():
                 eligibility[fidelity] = eligible
         if not eligibility:
@@ -1069,17 +885,6 @@ class CorrelatedMFBO:
         metrics.incr("cache_hits", stack.cache_hits - hits0)
         metrics.incr("cache_misses", stack.cache_misses - misses0)
         return best
-
-    def _select(self, step: int) -> tuple[int, Fidelity, float] | None:
-        """Lines 7–11: pool + Pareto decomposition, then the PEIPV scan."""
-        front, ref = self._front_and_reference()
-        with self.metrics.timed("hvi_s"):
-            boxes = dominated_boxes(front, ref)
-        pool = self._candidate_pool()
-        self._last_pool_size = int(pool.size)
-        if pool.size == 0:
-            return None
-        return self._scan_best(pool, front, ref, boxes)
 
     # ------------------------------------------------------------------
     # output

@@ -21,9 +21,8 @@ from repro.core.resilience.faults import (
 from repro.core.resilience.journal import (
     JOURNAL_SCHEMA_VERSION,
     JournalError,
-    ReplayPlan,
     RunJournal,
-    build_replay_plan,
+    build_async_replay_plan,
     read_journal,
 )
 from repro.core.resilience.retry import (
@@ -43,11 +42,10 @@ __all__ = [
     "InjectedFlowCrash",
     "JOURNAL_SCHEMA_VERSION",
     "JournalError",
-    "ReplayPlan",
     "ResilientOutcome",
     "RetryPolicy",
     "RunJournal",
-    "build_replay_plan",
+    "build_async_replay_plan",
     "evaluate_with_policy",
     "failed_flow_result",
     "read_journal",

@@ -1,34 +1,32 @@
 """Append-only, crash-safe run journal with bitwise replay.
 
-Every commit of a BO run — initial design, loop rounds, final
-verification — is appended to a JSONL journal (atomic line writes,
-``fsync`` per line, schema-versioned alongside the trace schema).  A
-killed run resumes by *replaying* the journaled commits through the
-optimizer's ordinary ``_commit`` path and restoring the captured RNG
-state, so the resumed run is **bitwise identical** to an uninterrupted
-one:
+Every record of a BO run — initial-design commits, loop proposals and
+commits, final-verification commits — is appended to a JSONL journal
+(atomic line writes, ``fsync`` per line, schema-versioned alongside the
+trace schema).  A killed run resumes by *replaying* the journal through
+the optimizer's ordinary ``_commit`` path and restoring the captured
+RNG state, so the resumed run is **bitwise identical** to an
+uninterrupted one:
 
 - Floats survive exactly (``json`` emits the shortest round-tripping
   repr; non-finite values use explicit ``"NaN"``/``"Infinity"``
   sentinels so the file stays strict JSON).
 - The generator state of the optimizer's ``numpy`` RNG (PCG64) is
-  captured at every commit.  Replay re-runs each journaled round's GP
-  *fit* (warm-started hyperparameter trajectories are path-dependent,
-  and restart jitter consumes the RNG), skips the selection and flow
-  evaluation, then hard-restores the journaled post-selection state —
-  cheaper than the run, yet state-identical to it.
+  captured at every record.  Every loop step is journaled twice: a
+  ``propose`` record (:func:`propose_record` — the chosen candidate,
+  its Kriging-believer fantasy values per fidelity level, the modeled
+  completion time and the post-selection RNG state) *before* the
+  evaluation is submitted, and a ``commit`` record after its outcome
+  is folded in.  Replay re-runs the GP *fit* before each proposal
+  (warm-started hyperparameter trajectories are path-dependent, and
+  restart jitter consumes the RNG), skips the selection and flow
+  evaluation, then hard-restores the journaled RNG state — cheaper
+  than the run, yet state-identical to it.
 - A crash can only truncate the final line; :func:`read_journal`
-  tolerates a torn tail.  A batch round interrupted mid-commit is
-  dropped whole and re-selected on resume (selection is deterministic
-  from the restored state, so the re-run is bitwise too).
-
-Async runs (``run_async_loop``) additionally journal every *proposal*
-(:func:`propose_record`): the chosen candidate, its Kriging-believer
-fantasy values per fidelity level, the modeled completion time and the
-post-proposal RNG state.  Any journal prefix is then a consistent
-snapshot — proposals without a matching commit are exactly the pending
-set, resubmitted verbatim on resume, so async kill-and-resume is
-bitwise too (:func:`build_async_replay_plan`).
+  tolerates a torn tail.  Any journal prefix is a consistent snapshot:
+  proposals without a matching commit are exactly the pending set,
+  resubmitted verbatim on resume — in every loop mode, a half-filled
+  round barrier included (:func:`build_async_replay_plan`).
 """
 
 from __future__ import annotations
@@ -36,11 +34,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
+from repro.fleet.wal import durable_replace
 from repro.hlsim.reports import Fidelity, FlowResult, StageReport
 
 __all__ = [
@@ -48,10 +46,7 @@ __all__ = [
     "JournalError",
     "RunJournal",
     "AsyncReplayPlan",
-    "ReplayPlan",
-    "ReplaySegment",
     "build_async_replay_plan",
-    "build_replay_plan",
     "commit_record",
     "propose_record",
     "propose_kwargs",
@@ -64,8 +59,10 @@ __all__ = [
 
 #: Bump when a journal field is added, removed or changes meaning.
 #: v2 added the async-pipeline ``propose`` event plus the
-#: ``async_engine``/``inflight_target`` fingerprint fields.
-JOURNAL_SCHEMA_VERSION = 2
+#: ``async_engine``/``inflight_target`` fingerprint fields; v3 journals
+#: every loop mode as propose/commit pairs and drops the commit
+#: record's ``round`` field.
+JOURNAL_SCHEMA_VERSION = 3
 
 #: Settings that shape the optimization *trajectory* — a resumed run
 #: must share all of them with the journaled run or bitwise identity is
@@ -199,7 +196,6 @@ def commit_record(
     *,
     phase: str,
     step: int,
-    round_index: int,
     config_index: int,
     fidelity: Fidelity,
     requested_fidelity: Fidelity,
@@ -216,7 +212,6 @@ def commit_record(
         "event": "commit",
         "phase": phase,
         "step": int(step),
-        "round": int(round_index),
         "config_index": int(config_index),
         "fidelity": int(fidelity),
         "requested_fidelity": int(requested_fidelity),
@@ -261,7 +256,7 @@ def propose_record(
     pool_size: int,
     rng_state: dict,
 ) -> dict[str, Any]:
-    """One async-pipeline proposal, journaled *before* submission.
+    """One loop proposal, journaled *before* submission.
 
     ``fantasy`` is the believer mean at the chosen fidelity and
     ``fantasy_levels`` the per-level believer means the evaluation will
@@ -346,28 +341,19 @@ class RunJournal:
         """Materialize ``records`` (header + kept prefix + resume marker)
         atomically, then open the file for appending.
 
-        Used on resume: the kept prefix is rewritten verbatim into a
-        temp file which replaces ``path``, so a crash during resume
-        never leaves a half-rewritten journal behind.
+        Used on resume: the kept prefix is rewritten verbatim through
+        :func:`repro.fleet.wal.durable_replace` (temp file, fsync,
+        rename, directory fsync), so a crash during resume never leaves
+        a half-rewritten journal behind.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                for record in records:
-                    handle.write(_dumps(record) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+
+        def write(handle) -> None:
+            for record in records:
+                handle.write((_dumps(record) + "\n").encode("utf-8"))
+
+        durable_replace(path, write)
         journal = cls(path)
         journal.records_written = len(records)
         return journal
@@ -464,37 +450,6 @@ def tail_complete(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReplaySegment:
-    """A replayable unit: the initial design, one loop round, or the
-    verification epilogue."""
-
-    phase: str  # "init" | "loop" | "verify"
-    round_index: int  # -1 for init/verify
-    step0: int  # refit-cadence key of a loop round
-    records: tuple[dict, ...]
-
-
-@dataclass
-class ReplayPlan:
-    """What to replay and where the live run picks up."""
-
-    header: dict
-    segments: list[ReplaySegment]
-    kept_records: list[dict]  # header + kept commits, verbatim
-    next_step: int
-    next_round: int
-    replayed: int
-    dropped: int
-    verify_attempted: frozenset[int]
-    #: True when the journal shows the BO loop finished (verification
-    #: commits exist or ``next_step`` reached ``n_iter``) — the resumed
-    #: run must then skip the loop entirely: an early pool-dry break is
-    #: not re-derivable once the round's evaluations have been folded
-    #: in, so re-entering the loop could overshoot the original run.
-    loop_done: bool = False
-
-
 def _check_header(records: list[dict[str, Any]], settings) -> dict[str, Any]:
     """Validate version + settings fingerprint; return the header."""
     if not records or records[0].get("event") != "header":
@@ -520,123 +475,16 @@ def _check_header(records: list[dict[str, Any]], settings) -> dict[str, Any]:
     return header
 
 
-def build_replay_plan(
-    records: list[dict[str, Any]],
-    settings,
-    expected_init: int,
-) -> ReplayPlan:
-    """Partition journal records into bitwise-replayable segments.
-
-    ``expected_init`` is the number of initial-design commits a
-    complete initial phase writes (the optimizer knows the space size).
-    An incomplete initial design is dropped entirely (the resume is
-    then a fresh run); a trailing under-sized loop round is dropped and
-    re-selected *unless* verification commits follow it (then the pool
-    simply ran dry and the round is complete).
-    """
-    header = _check_header(records, settings)
-
-    commits = [r for r in records if r.get("event") == "commit"]
-    init = [r for r in commits if r["phase"] == "init"]
-    loop = [r for r in commits if r["phase"] == "loop"]
-    verify = [r for r in commits if r["phase"] == "verify"]
-    total = len(commits)
-
-    segments: list[ReplaySegment] = []
-    kept: list[dict] = []
-    if len(init) < expected_init:
-        # Crash during the initial design: nothing replayable (the init
-        # sampling is one RNG transaction; partial prefixes are not
-        # restart points).
-        return ReplayPlan(
-            header=header,
-            segments=[],
-            kept_records=[header],
-            next_step=0,
-            next_round=0,
-            replayed=0,
-            dropped=total,
-            verify_attempted=frozenset(),
-        )
-    segments.append(
-        ReplaySegment(phase="init", round_index=-1, step0=-1,
-                      records=tuple(init))
-    )
-    kept.extend(init)
-
-    # Loop rounds must be contiguous in step and grouped by round.
-    rounds: list[list[dict]] = []
-    for record in loop:
-        if rounds and record["round"] == rounds[-1][0]["round"]:
-            rounds[-1].append(record)
-        else:
-            rounds.append([record])
-    step = 0
-    kept_rounds: list[list[dict]] = []
-    dropped = 0
-    for i, group in enumerate(rounds):
-        steps = [r["step"] for r in group]
-        if steps != list(range(step, step + len(group))):
-            raise JournalError(
-                f"journal loop steps are not contiguous at round "
-                f"{group[0]['round']} (got {steps}, expected from {step})"
-            )
-        expected_q = min(settings.batch_size, settings.n_iter - step)
-        is_last = i == len(rounds) - 1
-        if len(group) < expected_q and is_last and not verify:
-            # Torn final round (or a dry pool with no way to tell the
-            # difference) — drop and re-select deterministically.
-            dropped += len(group)
-            break
-        step += len(group)
-        kept_rounds.append(group)
-    for i, group in enumerate(kept_rounds):
-        segments.append(
-            ReplaySegment(
-                phase="loop",
-                round_index=i,
-                step0=group[0]["step"],
-                records=tuple(group),
-            )
-        )
-        kept.extend(group)
-
-    attempted: frozenset[int] = frozenset()
-    if verify:
-        segments.append(
-            ReplaySegment(
-                phase="verify", round_index=-1, step0=-1,
-                records=tuple(verify),
-            )
-        )
-        kept.extend(verify)
-        attempted = frozenset(r["config_index"] for r in verify)
-
-    return ReplayPlan(
-        header=header,
-        segments=segments,
-        kept_records=[header] + kept,
-        next_step=step,
-        next_round=len(kept_rounds),
-        replayed=len(kept),
-        dropped=dropped,
-        verify_attempted=attempted,
-        loop_done=bool(verify) or step >= settings.n_iter,
-    )
-
-
 @dataclass
 class AsyncReplayPlan:
-    """What to replay for an async run and where the live loop picks up.
+    """What to replay and where the live loop picks up.
 
-    Unlike the round-barrier plan there is no torn-round concept: every
-    journal prefix is consistent.  ``pending`` holds the proposals with
-    no matching commit (in step order) — the resumed loop resubmits
-    them verbatim and continues draining on the journaled simulation
-    clock.
+    Every journal prefix is consistent.  ``pending`` holds the
+    proposals with no matching commit (in step order) — the resumed
+    loop resubmits them verbatim and continues on the journaled
+    simulation clock.
     """
 
-    header: dict
     init_records: tuple[dict, ...]
     #: Loop ``propose``/``commit`` records in journal (= live) order.
     loop_records: tuple[dict, ...]
@@ -645,8 +493,6 @@ class AsyncReplayPlan:
     pending: tuple[dict, ...]  # propose records lacking a commit
     committed: int
     next_step: int
-    sim_s: float
-    target: int
     replayed: int
     dropped: int
     verify_attempted: frozenset[int]
@@ -658,12 +504,14 @@ def build_async_replay_plan(
     settings,
     expected_init: int,
 ) -> AsyncReplayPlan:
-    """Partition an async journal into a bitwise-replayable prefix.
+    """Partition a journal into a bitwise-replayable prefix.
 
+    ``expected_init`` is the number of initial-design commits a
+    complete initial phase writes (the optimizer knows the space size).
     Validates that loop proposals carry contiguous steps from 0 in
     journal order and that every loop commit refers to an
     already-journaled proposal.  An incomplete initial design drops
-    everything (fresh run), exactly like :func:`build_replay_plan`.
+    everything (the resume is then a fresh run).
     """
     header = _check_header(records, settings)
 
@@ -686,7 +534,6 @@ def build_async_replay_plan(
         # sampling is one RNG transaction; partial prefixes are not
         # restart points).
         return AsyncReplayPlan(
-            header=header,
             init_records=(),
             loop_records=(),
             verify_records=(),
@@ -694,8 +541,6 @@ def build_async_replay_plan(
             pending=(),
             committed=0,
             next_step=0,
-            sim_s=0.0,
-            target=1,
             replayed=0,
             dropped=total,
             verify_attempted=frozenset(),
@@ -727,18 +572,6 @@ def build_async_replay_plan(
         proposed[step] for step in sorted(proposed)
         if step not in committed_steps
     )
-    # The modeled clock after the replayed prefix: the ETA of the last
-    # *committed* proposal (commits are journaled in modeled order).
-    sim_s = (
-        _decode_float(proposed[committed_steps[-1]]["eta_s"])
-        if committed_steps else 0.0
-    )
-    # Adaptive-controller state is just the target, journaled on every
-    # proposal (the gain signal is memoryless per decision).
-    target = (
-        int(proposed[len(proposed) - 1]["target"]) if proposed else 1
-    )
-
     attempted: frozenset[int] = frozenset()
     if verify:
         attempted = frozenset(r["config_index"] for r in verify)
@@ -746,7 +579,6 @@ def build_async_replay_plan(
     n_committed = len(committed_steps)
     kept = [header] + init + loop + verify
     return AsyncReplayPlan(
-        header=header,
         init_records=tuple(init),
         loop_records=tuple(loop),
         verify_records=tuple(verify),
@@ -754,8 +586,6 @@ def build_async_replay_plan(
         pending=pending,
         committed=n_committed,
         next_step=len(proposed),
-        sim_s=sim_s,
-        target=target,
         replayed=len(init) + len(loop) + len(verify),
         dropped=0,
         verify_attempted=attempted,

@@ -176,15 +176,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="process-pool size (1 = sequential)")
     parser.add_argument("--eval-workers", type=int, default=1,
                         help="flow-worker threads per whole-space sweep")
-    # Accepted for CLI uniformity with the BO drivers (table1 / fig8 /
-    # ablations): the Fig. 5 sweep evaluates every configuration
-    # exhaustively, so there is no acquisition pipeline to run async.
-    parser.add_argument("--async", dest="async_engine", action="store_true",
-                        help="no-op here: the exhaustive sweep has no BO "
-                             "loop (flag shared with the BO drivers)")
-    parser.add_argument("--inflight-target", type=int, default=None,
-                        help="no-op here: the exhaustive sweep has no BO "
-                             "loop (flag shared with the BO drivers)")
     parser.add_argument("--cache-dir", default="",
                         help="persistent ground-truth cache directory")
     parser.add_argument("--journal-dir", default="",

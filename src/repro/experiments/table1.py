@@ -14,8 +14,8 @@ Usage::
 
 ``--workers N`` fans the (benchmark, method, repeat) cells out over a
 process pool (results are bitwise identical to the sequential run);
-``--batch-size``/``--eval-workers`` switch the BO methods onto the
-in-run batch engine (qPEIPV + async flow workers, composable with
+``--batch-size``/``--eval-workers`` run the BO methods' loop as a
+qPEIPV round barrier on concurrent flow workers (composable with
 ``--workers``); ``--cache-dir`` persists exhaustive ground-truth sweeps
 across invocations (see :mod:`repro.hlsim.gtcache` for the
 invalidation rule).

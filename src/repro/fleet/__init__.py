@@ -16,10 +16,9 @@ The fleet takes both fan-out layers of the runtime off the single box:
   pickled outcome back.
 - :mod:`repro.fleet.executor` — :class:`RemoteExecutor`, a drop-in for
   the in-run :class:`~repro.core.batch.engine.EvalEngine` (same
-  submit/wait/close contract), so ``run_batch_loop`` and
-  ``run_async_loop`` evaluate on the fleet while the proposal-order /
-  modeled-commit model keeps trajectories bitwise identical to local
-  runs.
+  submit/wait/close contract), so the BO loop (``run_async_loop``,
+  in every mode) evaluates on the fleet while the modeled commit
+  order keeps trajectories bitwise identical to local runs.
 - :mod:`repro.fleet.schedule` — the multi-session scheduler
   (``python -m repro.fleet.schedule``): multiplexes many concurrent
   tuning sessions over one fleet (fair-share lease dispatch lives in

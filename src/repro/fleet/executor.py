@@ -1,9 +1,9 @@
 """RemoteExecutor: the in-run evaluation fan-out, off the box.
 
 :class:`RemoteExecutor` satisfies the same ``submit``/``wait``/
-``evaluate``/``close`` contract as :class:`repro.core.batch.engine.
-EvalEngine`, so both engine loops (:func:`run_batch_loop` and
-:func:`run_async_loop`) accept it unchanged through the optimizer's
+``close`` contract as :class:`repro.core.batch.engine.EvalEngine`, so
+the BO loop (:func:`repro.core.batch.async_engine.run_async_loop`, in
+every mode) accepts it unchanged through the optimizer's
 ``engine_factory`` hook::
 
     from repro.fleet.executor import RemoteExecutor
@@ -23,7 +23,7 @@ Trajectory bitwise-parity with local runs holds by construction:
 - the worker reproduces the outcome exactly: the same flow model
   (deterministic per configuration), the same retry policy, and the
   same per-job jitter stream keyed by ``(seed, step, config_index)``;
-- outcomes are folded in proposal/modeled order, exactly as with the
+- outcomes are folded in the loop's modeled order, exactly as with the
   local thread pool.
 
 ``close()`` leaves nothing orphaned: unfinished remote tasks keep
@@ -144,13 +144,6 @@ class RemoteExecutor:
             total = time.perf_counter() - submitted
             result.queue_wait_s = max(0.0, total - result.exec_s)
         return result
-
-    def evaluate(self, jobs: list[EvalJob]) -> list[EvalOutcome]:
-        """Run ``jobs`` fleet-wide; outcomes in proposal order."""
-        handles = [self.submit(job) for job in jobs]
-        return [
-            self.wait(job, handle) for job, handle in zip(jobs, handles)
-        ]
 
     def close(self, drain_s: float | None = None) -> None:
         """Stop polling; in-flight remote work finishes server-side."""

@@ -33,9 +33,16 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Callable, Iterator
 
-__all__ = ["WalError", "WalWriter", "read_wal", "recover_wal", "scan_wal"]
+__all__ = [
+    "WalError",
+    "WalWriter",
+    "durable_replace",
+    "read_wal",
+    "recover_wal",
+    "scan_wal",
+]
 
 
 class WalError(ValueError):
@@ -103,6 +110,42 @@ def recover_wal(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     return records, valid
 
 
+def durable_replace(
+    path: Path,
+    write: Callable[[IO[bytes]], None],
+    fsync: Callable[[IO[bytes]], None] | None = None,
+) -> None:
+    """Atomically replace ``path`` with the bytes ``write`` produces.
+
+    ``write`` fills a sibling temp file, which is flushed and fsync'd
+    (through ``fsync`` when given, e.g. a timed wrapper), renamed over
+    ``path``, and then the directory entry itself is fsync'd — without
+    that last step a power cut can undo the rename.  A crash at any
+    point leaves either the old file or the complete new one; a failed
+    write removes the temp file.  Shared by
+    :meth:`WalWriter.rotate` and the optimizer journal's resume
+    rewrite (:meth:`repro.core.resilience.journal.RunJournal.continue_from`).
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as handle:
+            write(handle)
+            handle.flush()
+            if fsync is None:
+                os.fsync(handle.fileno())
+            else:
+                fsync(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 class WalWriter:
     """Append-only JSONL writer: one fsync'd record per transition.
 
@@ -159,27 +202,20 @@ class WalWriter:
     def rotate(self, records: list[dict[str, Any]]) -> None:
         """Atomically replace the log with ``records`` (compaction).
 
-        The replacement is written and fsync'd to a sibling temp file,
-        then renamed over the log (and the directory entry fsync'd), so
-        a crash at any point leaves either the old log or the complete
+        The replacement goes through :func:`durable_replace`, so a
+        crash at any point leaves either the old log or the complete
         new one — never a mix.  ``seq`` keeps counting: the snapshot's
         records take the next numbers, and later appends follow them.
         """
         if self._handle is None:
             raise RuntimeError(f"WAL {self.path} is closed")
-        tmp = self.path.with_name(self.path.name + ".compact")
-        with tmp.open("wb") as out:
+
+        def write(out: IO[bytes]) -> None:
             for record in records:
                 out.write(self._encode(record))
-            out.flush()
-            self._fsync(out)
+
+        durable_replace(self.path, write, fsync=self._fsync)
         self._handle.close()
-        os.replace(tmp, self.path)
-        dir_fd = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
         self._handle = self.path.open("ab")
         self.bytes = self.path.stat().st_size
 

@@ -37,7 +37,7 @@ cell's run journal and ships every new *complete* line to the broker
 (offset-deduplicated, WAL-persisted there).  When a cell is re-issued
 (``attempt > 1``) the replacement worker fetches the streamed prefix,
 writes it to its own journal path, and runs the cell with
-``resume=True`` — the optimizer's journal-v2 replay machinery then
+``resume=True`` — the optimizer's journal replay machinery then
 replays the streamed commits instead of re-evaluating them, so a
 SIGKILL'd worker costs one lease timeout plus only the *unstreamed*
 tail of its cell.  ``--journal-root`` remaps cell journal dirs to a

@@ -32,7 +32,6 @@ from repro.obs.timing import Metrics, Timer
 from repro.obs.trace import (
     JOB_TRACE_FIELDS,
     SPAN_TRACE_FIELDS,
-    STEP_TRACE_FIELDS,
     TRACE_SCHEMA_VERSION,
     JsonlTraceWriter,
     TraceSchemaError,
@@ -85,6 +84,5 @@ __all__ = [
     "parse_trace_context",
     "JOB_TRACE_FIELDS",
     "SPAN_TRACE_FIELDS",
-    "STEP_TRACE_FIELDS",
     "TRACE_SCHEMA_VERSION",
 ]

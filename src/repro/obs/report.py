@@ -6,8 +6,8 @@ Three modes, one CLI::
     python -m repro.obs.report --compare A B            # regression gate
     python -m repro.obs.report --log table1_run.log     # console-log rollup
 
-*Summarize* reads the JSONL trace files of one run (any mix of
-sequential ``step``, batch ``proposal``/``commit``, pool ``job``,
+*Summarize* reads the JSONL trace files of one run (any mix of BO-loop
+``proposal``/``commit`` — or pre-v8 ``step`` — lines, pool ``job``,
 resilience and ``span`` events — mixed schema versions are upgraded on
 read) and prints wall-time attribution by phase, fidelity and worker,
 evaluation counts, and fault/degrade/resume totals.

@@ -10,7 +10,7 @@ carrying
   ``tid``, ``tname``), so merged multi-process — and multi-*machine* —
   traces render one track per worker without pid-reuse collisions;
 - an explicit **parent id** — each thread keeps its own span stack, so
-  nesting is attributed correctly even when the batch engine's eval
+  nesting is attributed correctly even when the evaluation engine's
   threads run concurrently with the main loop;
 - the **fleet trace context**: a ``trace`` id propagated across
   processes through the ``X-Repro-Trace`` header (scheduler → broker →

@@ -7,7 +7,7 @@ optimizer snapshots the registry before and after each step and emits
 the difference to the step trace, so per-step attribution costs two
 dict copies per step.
 
-The lock matters: the batch engine's eval threads call
+The lock matters: the evaluation engine's threads call
 ``opt.metrics.add_time("eval_s", ...)`` concurrently with the main
 thread's timed sections, and a plain ``dict[k] += v`` read-modify-write
 can drop updates under that interleaving (regression-tested in

@@ -1,21 +1,20 @@
-"""Structured JSONL step traces for optimization runs.
+"""Structured JSONL traces for optimization runs.
 
 One JSON object per line.  Every line carries ``"v"`` (schema version)
-and ``"event"``; the sequential optimizer emits one ``"step"`` line per
-Bayesian-optimization iteration plus a single ``"run_start"`` header,
-the parallel experiment engine (:mod:`repro.experiments.parallel`)
-emits one ``"job"`` line per (benchmark, method, repeat) cell, and the
-batch engine (:mod:`repro.core.batch`) emits ``"proposal"`` /
-``"pending"`` / ``"commit"`` lines per batched round instead of
-``"step"`` lines.  Non-finite floats are serialized as ``null`` so the
-output stays strict JSON.
+and ``"event"``.  An optimizer run emits a single ``"run_start"``
+header, then the BO loop (:func:`repro.core.batch.async_engine.
+run_async_loop`, the same events in every loop mode) emits one
+``"proposal"`` line per selection, one ``"commit"`` line per folded
+outcome and one ``"inflight"`` line after each of them; the parallel
+experiment engine (:mod:`repro.experiments.parallel`) emits one
+``"job"`` line per (benchmark, method, repeat) cell.  Non-finite
+floats are serialized as ``null`` so the output stays strict JSON.
 
-The event schemas (:data:`STEP_TRACE_FIELDS`, :data:`JOB_TRACE_FIELDS`,
-:data:`PROPOSAL_TRACE_FIELDS`, :data:`PENDING_TRACE_FIELDS`,
-:data:`COMMIT_TRACE_FIELDS`, :data:`FAULT_TRACE_FIELDS`,
-:data:`DEGRADE_TRACE_FIELDS`, :data:`RESUME_TRACE_FIELDS`,
-:data:`SPAN_TRACE_FIELDS`, :data:`INFLIGHT_TRACE_FIELDS`) are covered
-by regression tests — tools
+The event schemas (:data:`JOB_TRACE_FIELDS`,
+:data:`PROPOSAL_TRACE_FIELDS`, :data:`COMMIT_TRACE_FIELDS`,
+:data:`FAULT_TRACE_FIELDS`, :data:`DEGRADE_TRACE_FIELDS`,
+:data:`RESUME_TRACE_FIELDS`, :data:`SPAN_TRACE_FIELDS`,
+:data:`INFLIGHT_TRACE_FIELDS`) are covered by regression tests — tools
 that consume traces (dashboards, diffing, the benchmarks) can rely on
 the field set per version.
 
@@ -58,7 +57,16 @@ traces), ``trace`` (the fleet-wide trace id propagated through the
 ``remote_parent`` (the span id *in the originating process* that a
 top-level span parents into across the wire, ``null`` otherwise) —
 all defaulting to ``null`` so single-process traces are unchanged
-apart from the version stamp.
+apart from the version stamp; v8 made the BO loop one pipeline, so
+every loop mode emits ``proposal``/``inflight``/``commit`` and the
+sequential ``step`` and round-barrier ``pending`` events are gone.
+Their figures moved: the per-selection deltas (``fit_s``,
+``predict_s``, ``hvi_s``, ``cache_hits``, ``cache_misses``) and the
+selection wall time ``select_s`` onto ``proposal``; the step's
+propose-to-commit wall time ``step_s`` onto ``commit`` (its
+``eval_s`` is the commit's ``exec_s``); the per-fidelity ``in_flight``
+counts onto ``inflight``.  ``proposal``/``commit`` lost their
+``round``/``slot`` fields (a barrier round is ``step // batch_size``).
 
 Mixed-version files: a file whose records disagree on ``"v"`` (e.g. a
 resumed run written by newer code appending to an old file) is refused
@@ -77,29 +85,7 @@ from pathlib import Path
 from typing import IO, Any, Iterator, Mapping
 
 #: Bump when a field is added, removed or changes meaning.
-TRACE_SCHEMA_VERSION = 7
-
-#: Fields guaranteed on every ``event == "step"`` line (schema v1).
-STEP_TRACE_FIELDS: tuple[str, ...] = (
-    "v",
-    "event",
-    "step",
-    "config_index",
-    "fidelity",
-    "pool_size",
-    "acquisition",
-    "valid",
-    "flow_runtime_s",
-    "fit_s",
-    "predict_s",
-    "hvi_s",
-    "eval_s",
-    "step_s",
-    "cache_hits",
-    "cache_misses",
-    "attempts",
-    "degraded",
-)
+TRACE_SCHEMA_VERSION = 8
 
 #: Fields guaranteed on every ``event == "job"`` line (schema v2):
 #: job identity, pool shape, queue wait / execution wall time, the
@@ -126,20 +112,19 @@ JOB_TRACE_FIELDS: tuple[str, ...] = (
 )
 
 #: Fields guaranteed on every ``event == "proposal"`` line (schema v3):
-#: one line per candidate the batch acquisition picked — its slot
-#: within the round, its global step index, the chosen configuration /
-#: fidelity / penalized-EIPV score, the Kriging-believer *fantasy*
-#: objectives the stack was conditioned on while picking the remaining
-#: slots, and the candidate-pool size the scan saw.  ``eta_s`` (v6) is
-#: the async pipeline's modeled completion time for the proposal on its
-#: simulation clock and ``target`` the in-flight target after the
-#: adaptive controller's update — both ``null`` on round-barrier
-#: proposals (``round`` is ``-1`` on async ones, which have no rounds).
+#: one line per candidate the BO loop picked — its step index, the
+#: chosen configuration / fidelity / penalized-EIPV score, the
+#: Kriging-believer *fantasy* objectives the stack is conditioned on
+#: while the candidate is pending, and the candidate-pool size the
+#: scan saw.  ``eta_s`` (v6) is the proposal's modeled completion time
+#: on the loop's simulation clock and ``target`` the in-flight target
+#: after the adaptive controller's update.  v8 adds the selection's
+#: cost: ``fit_s``/``predict_s``/``hvi_s`` (the optimizer's metric
+#: deltas over the selection), ``select_s`` (its wall time) and the
+#: stack's prediction ``cache_hits``/``cache_misses``.
 PROPOSAL_TRACE_FIELDS: tuple[str, ...] = (
     "v",
     "event",
-    "round",
-    "slot",
     "step",
     "config_index",
     "fidelity",
@@ -148,37 +133,26 @@ PROPOSAL_TRACE_FIELDS: tuple[str, ...] = (
     "pool_size",
     "eta_s",
     "target",
-)
-
-#: Fields guaranteed on every ``event == "pending"`` line (schema v3):
-#: one line per round, emitted when the batch is handed to the worker
-#: pool — the pending-set size and the per-fidelity in-flight counts of
-#: the *submitted* batch (deterministic, unlike a racy mid-flight
-#: snapshot), plus the round's fit/selection timing.
-PENDING_TRACE_FIELDS: tuple[str, ...] = (
-    "v",
-    "event",
-    "round",
-    "n_pending",
-    "in_flight",
     "fit_s",
+    "predict_s",
+    "hvi_s",
     "select_s",
+    "cache_hits",
+    "cache_misses",
 )
 
 #: Fields guaranteed on every ``event == "commit"`` line (schema v3):
 #: one line per candidate as its realized flow result is folded into
-#: the GP dataset (always in proposal order, regardless of worker
+#: the GP dataset (in the loop's modeled order, regardless of worker
 #: completion order) — realized objectives next to the proposal's
 #: fantasy, plus per-candidate queue-wait / execution timing, the
 #: worker that ran it and how many attempts it took (2 == retried
 #: once after a timeout).  ``inflight`` (v6) is the number of
-#: evaluations still pending when an async commit folded in (``null``
-#: on round-barrier commits, whose pending set is implied by the round).
+#: evaluations still pending after the commit; ``step_s`` (v8) is the
+#: step's wall time from the start of its proposal to its commit.
 COMMIT_TRACE_FIELDS: tuple[str, ...] = (
     "v",
     "event",
-    "round",
-    "slot",
     "step",
     "config_index",
     "fidelity",
@@ -195,6 +169,7 @@ COMMIT_TRACE_FIELDS: tuple[str, ...] = (
     "failed",
     "wasted_runtime_s",
     "inflight",
+    "step_s",
 )
 
 #: Fields guaranteed on every ``event == "fault"`` line (schema v4):
@@ -262,17 +237,19 @@ SPAN_TRACE_FIELDS: tuple[str, ...] = (
 )
 
 #: Fields guaranteed on every ``event == "inflight"`` line (schema v6):
-#: one line per async-pipeline scheduling action (after each proposal
-#: and each commit) — the committed loop-evaluation count, the
-#: pending-set size, the adaptive in-flight target, the hypervolume of
-#: the fantasy-extended Pareto front the next proposal would see, and
-#: the modeled simulation clock (``sim_s``; the deterministic commit
-#: order is min-ETA on this clock, never wall time).
+#: one line per BO-loop scheduling action (after each proposal and
+#: each commit) — the committed loop-evaluation count, the pending-set
+#: size and (v8) its per-fidelity ``in_flight`` counts, the in-flight
+#: target, the hypervolume of the fantasy-extended Pareto front the
+#: next proposal would see, and the modeled simulation clock
+#: (``sim_s``; the deterministic commit order is min-ETA on this clock,
+#: never wall time).
 INFLIGHT_TRACE_FIELDS: tuple[str, ...] = (
     "v",
     "event",
     "committed",
     "n_pending",
+    "in_flight",
     "target",
     "fantasy_hv",
     "sim_s",
@@ -280,8 +257,8 @@ INFLIGHT_TRACE_FIELDS: tuple[str, ...] = (
 
 #: Fields guaranteed on every ``event == "resume"`` line (schema v4):
 #: one line at the top of a resumed run — the journal it replayed, how
-#: many commits were replayed / dropped (torn trailing round) and the
-#: first live step.
+#: many records were replayed / dropped (an incomplete initial design)
+#: and the first live step.
 RESUME_TRACE_FIELDS: tuple[str, ...] = (
     "v",
     "event",
@@ -306,8 +283,8 @@ class JsonlTraceWriter:
 
     Eager flushing keeps the trace useful for *live* observability —
     ``tail -f`` works while a long run is still going.  Writes are
-    serialized under a lock: the batch engine's eval threads emit span
-    records concurrently with the main thread's step/commit lines, and
+    serialized under a lock: the evaluation engine's threads emit span
+    records concurrently with the main thread's loop events, and
     interleaved partial lines would corrupt the file.
     """
 
@@ -359,9 +336,20 @@ _UPGRADE_DEFAULTS: dict[str, dict[str, Any]] = {
         "failed": False,
         "wasted_runtime_s": 0.0,
         "inflight": None,
+        "step_s": None,  # added in v8
     },
     "job": {"t_start": None},  # added in v5
-    "proposal": {"eta_s": None, "target": None},  # added in v6
+    "proposal": {  # eta_s/target added in v6, the rest in v8
+        "eta_s": None,
+        "target": None,
+        "fit_s": None,
+        "predict_s": None,
+        "hvi_s": None,
+        "select_s": None,
+        "cache_hits": None,
+        "cache_misses": None,
+    },
+    "inflight": {"in_flight": None},  # added in v8
     "span": {  # host/trace/remote_parent added in v7
         "host": None,
         "trace": None,

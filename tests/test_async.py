@@ -3,9 +3,9 @@
 Covers the determinism contract of :mod:`repro.core.batch.async_engine`
 (``inflight_target=1`` bitwise-equals the sequential loop, wall-clock
 completion-order shuffles never reach the trajectory), the adaptive
-in-flight controller settings surface, the v2 journal round-trip
+in-flight controller settings surface, the journal round-trip
 (truncate-and-resume bitwise, sync/async fingerprint separation), the
-v6 trace events, and SIGTERM kill-and-resume through a real
+trace events, and SIGTERM kill-and-resume through a real
 subprocess.
 """
 
@@ -142,7 +142,6 @@ class TestSettings:
     def test_async_mode_disables_round_engine(self):
         settings = quick_settings(async_engine=True, eval_workers=4)
         assert settings.use_async_engine
-        assert not settings.use_batch_engine
 
     def test_inflight_cap(self):
         # Sync runs keep the cap out of the fingerprint (None) so
@@ -330,12 +329,12 @@ class TestTrace:
         records = read_trace(trace_path)
 
         start = next(r for r in records if r["event"] == "run_start")
-        assert start["v"] == TRACE_SCHEMA_VERSION == 7
+        assert start["v"] == TRACE_SCHEMA_VERSION == 8
         assert start["async_engine"] is True
         assert start["eval_workers"] == 2
 
         proposals = [r for r in records if r["event"] == "proposal"]
-        assert proposals and all(r["round"] == -1 for r in proposals)
+        assert proposals
         assert all(r["eta_s"] is not None for r in proposals)
         assert all(r["target"] >= 1 for r in proposals)
 
@@ -344,7 +343,7 @@ class TestTrace:
             if r["event"] == "commit" and r.get("inflight") is not None
         ]
         assert commits  # the async loop stamps the in-flight count
-        assert all(r["round"] == -1 and r["inflight"] >= 0 for r in commits)
+        assert all(r["inflight"] >= 0 for r in commits)
 
         inflight = [r for r in records if r["event"] == "inflight"]
         assert inflight

@@ -8,17 +8,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.batch.async_engine import (
+    AsyncState,
+    _propose_one,
+    run_async_loop,
+)
 from repro.core.batch.engine import (
     EvalEngine,
     EvalJob,
     FlowEvalError,
     parallel_fidelity_sweep,
 )
-from repro.core.batch.qeipv import (
-    _fantasized_datasets,
-    believer_fantasies,
-    select_batch,
-)
+from repro.core.batch.qeipv import _fantasized_datasets, believer_fantasies
 from repro.core.batch.workers import resolve_worker_count
 from repro.core.optimizer import CorrelatedMFBO, MFBOSettings, _FidelityData
 from repro.core.resilience.retry import RetryPolicy
@@ -35,7 +36,7 @@ from repro.hlsim.ir import (
 from repro.hlsim.reports import ALL_FIDELITIES, Fidelity
 from repro.obs.trace import (
     COMMIT_TRACE_FIELDS,
-    PENDING_TRACE_FIELDS,
+    INFLIGHT_TRACE_FIELDS,
     PROPOSAL_TRACE_FIELDS,
     TRACE_SCHEMA_VERSION,
     JsonlTraceWriter,
@@ -110,6 +111,12 @@ def _hist(result):
     ]
 
 
+def _evaluate(engine, jobs):
+    """Submit every job, then wait on each in proposal order."""
+    handles = [engine.submit(job) for job in jobs]
+    return [engine.wait(job, handle) for job, handle in zip(jobs, handles)]
+
+
 def _bypass_clamp(monkeypatch):
     """Let tests run real thread pools on single-CPU machines."""
     monkeypatch.setattr(
@@ -127,15 +134,6 @@ class TestSettings:
         with pytest.raises(ValueError, match="eval_timeout_s"):
             MFBOSettings(eval_timeout_s=0.0)
 
-    def test_batch_engine_auto(self):
-        assert not MFBOSettings().use_batch_engine
-        assert MFBOSettings(batch_size=2).use_batch_engine
-        assert MFBOSettings(eval_workers=2).use_batch_engine
-        assert MFBOSettings(batch_engine=True).use_batch_engine
-        assert not MFBOSettings(
-            batch_size=4, eval_workers=4, batch_engine=False
-        ).use_batch_engine
-
 
 class TestQ1Parity:
     def test_bitwise_parity_with_sequential(self, space):
@@ -145,7 +143,7 @@ class TestQ1Parity:
         bat = CorrelatedMFBO(
             space,
             HlsFlow.for_space(space),
-            quick_settings(batch_engine=True, batch_size=1, eval_workers=1),
+            quick_settings(batch_size=1, eval_workers=1),
         ).run()
         assert _hist(seq) == _hist(bat)
         assert seq.cs_indices == bat.cs_indices
@@ -162,7 +160,7 @@ class TestQ1Parity:
         bat = CorrelatedMFBO(
             space,
             HlsFlow.for_space(space),
-            quick_settings(seed=seed, n_iter=4, batch_engine=True),
+            quick_settings(seed=seed, n_iter=4),
         ).run()
         assert _hist(seq) == _hist(bat)
         assert seq.cs_indices == bat.cs_indices
@@ -191,7 +189,8 @@ class TestFantasization:
 
     @staticmethod
     def _accumulate(opt, index, fidelity, fX, fY):
-        """Fold one pick's believer values in, as ``select_batch`` does."""
+        """Fold one pick's believer values in, as the loop's fantasy
+        conditioning does."""
         fantasy, fantasy_levels = believer_fantasies(opt, index, fidelity)
         for level, y in fantasy_levels.items():
             fX[level].append(
@@ -243,22 +242,20 @@ class TestFantasization:
     def test_fantasy_is_posterior_mean(self, space, flow):
         opt = CorrelatedMFBO(space, flow, quick_settings())
         opt._initial_design()
-        opt._fit_stack(optimize=True)
-        (proposal,) = select_batch(opt, 1, step0=0)
+        proposal = _propose_one(opt, AsyncState())
         x = space.features[proposal.config_index : proposal.config_index + 1]
         means, _ = opt._stack.predict(int(proposal.fidelity), x)
         assert np.array_equal(proposal.fantasy, means[0])
 
     def test_round_proposals_distinct(self, space, flow):
-        opt = CorrelatedMFBO(space, flow, quick_settings())
+        opt = CorrelatedMFBO(space, flow, quick_settings(batch_size=4))
         opt._initial_design()
-        opt._fit_stack(optimize=True)
-        proposals = select_batch(opt, 4, step0=0)
-        assert len(proposals) == 4
+        state = AsyncState(target=4)
+        proposals = [_propose_one(opt, state) for _ in range(4)]
+        assert proposals == state.pending
         indices = [p.config_index for p in proposals]
         assert len(set(indices)) == 4
         assert [p.step for p in proposals] == [0, 1, 2, 3]
-        assert [p.slot for p in proposals] == [0, 1, 2, 3]
 
 
 class _SleepyFlow(HlsFlow):
@@ -328,7 +325,7 @@ class TestEvalEngine:
             space, sleepy, workers=3, clamp=False,
             flow_factory=lambda: sleepy,
         ) as engine:
-            outcomes = engine.evaluate(jobs)
+            outcomes = _evaluate(engine, jobs)
         # Workers finished in reverse order...
         assert sleepy.completed == [2, 1, 0]
         # ...but outcomes fold back in proposal order, values intact.
@@ -342,7 +339,8 @@ class TestEvalEngine:
 
     def test_inline_single_worker_shares_flow_cache(self, space, flow):
         engine = EvalEngine(space, flow, workers=1)
-        (outcome,) = engine.evaluate(
+        (outcome,) = _evaluate(
+            engine,
             [EvalJob(order=0, step=0, config_index=4, fidelity=Fidelity.SYN)]
         )
         assert outcome.ok and outcome.worker
@@ -362,7 +360,7 @@ class TestEvalEngine:
             space, boom, workers=2, clamp=False, flow_factory=lambda: boom,
             retry_policy=RetryPolicy(retry_on=()),
         ) as engine:
-            outcomes = engine.evaluate(jobs)
+            outcomes = _evaluate(engine, jobs)
         assert [o.ok for o in outcomes] == [True, False, True]
         assert "flow exploded" in outcomes[1].error
         assert "Traceback" in outcomes[1].error
@@ -379,7 +377,8 @@ class TestEvalEngine:
             space, boom, workers=2, clamp=False, flow_factory=lambda: boom,
             retry_policy=RetryPolicy(max_attempts=2),
         ) as engine:
-            (outcome,) = engine.evaluate(
+            (outcome,) = _evaluate(
+                engine,
                 [EvalJob(order=0, step=0, config_index=1,
                          fidelity=Fidelity.HLS)]
             )
@@ -410,7 +409,8 @@ class TestEvalEngine:
             space, sleepy, workers=2, timeout_s=0.3, clamp=False,
             flow_factory=lambda: sleepy,
         ) as engine:
-            (outcome,) = engine.evaluate(
+            (outcome,) = _evaluate(
+                engine,
                 [EvalJob(order=0, step=0, config_index=5,
                          fidelity=Fidelity.HLS)]
             )
@@ -427,7 +427,8 @@ class TestEvalEngine:
             flow_factory=lambda: sleepy,
             retry_policy=RetryPolicy(max_attempts=2, degrade_fidelity=False),
         ) as engine:
-            (outcome,) = engine.evaluate(
+            (outcome,) = _evaluate(
+                engine,
                 [EvalJob(order=0, step=0, config_index=5,
                          fidelity=Fidelity.HLS)]
             )
@@ -443,21 +444,19 @@ class TestEvalEngine:
         boom = _BoomFlow.for_space(space)
         boom._space_ref = space
         settings = quick_settings(
-            batch_engine=True, n_iter=3,
+            batch_size=2, n_iter=3,
             retry_max_attempts=1, punish_on_failure=False,
         )
         opt = CorrelatedMFBO(space, boom, settings)
         opt._initial_design()  # boom_index unset: initial design succeeds
         # Whatever the loop proposes first will explode.
-        from repro.core.batch.engine import run_batch_loop
-
         class _AlwaysBoom(_BoomFlow):
             def run(self, config, upto=Fidelity.IMPL):
                 raise RuntimeError("flow exploded")
 
         opt.flow = _AlwaysBoom.for_space(space)
         with pytest.raises(FlowEvalError, match="flow exploded"):
-            run_batch_loop(opt)
+            run_async_loop(opt)
 
 
 class TestCompletionOrderIndependence:
@@ -486,18 +485,19 @@ class TestCompletionOrderIndependence:
         assert np.array_equal(solo.cs_values, pooled.cs_values)
         assert solo.total_runtime_s == pooled.total_runtime_s
 
-        # Traces agree modulo worker-timing fields.
-        assert read_trace(solo_trace, "proposal") == read_trace(
-            pooled_trace, "proposal"
-        )
-        timing = ("queue_wait_s", "exec_s", "worker")
-        for a, b in zip(
-            read_trace(solo_trace, "commit"),
-            read_trace(pooled_trace, "commit"),
-        ):
-            for key in timing:
-                a.pop(key), b.pop(key)
-            assert a == b
+        # Traces agree modulo wall-clock and worker-timing fields.
+        timing = {
+            "proposal": ("fit_s", "predict_s", "hvi_s", "select_s"),
+            "commit": ("queue_wait_s", "exec_s", "worker", "step_s"),
+        }
+        for event, keys in timing.items():
+            solo_records = read_trace(solo_trace, event)
+            pooled_records = read_trace(pooled_trace, event)
+            assert len(solo_records) == len(pooled_records)
+            for a, b in zip(solo_records, pooled_records):
+                for key in keys:
+                    a.pop(key), b.pop(key)
+                assert a == b
 
     def test_shuffled_completion_same_commits(self, space, monkeypatch):
         """Forcing reversed completion order leaves the dataset identical."""
@@ -553,20 +553,25 @@ class TestTraceSchemaV3:
                 tracer=tracer,
             ).run()
         (start,) = read_trace(path, "run_start")
-        assert start["v"] == TRACE_SCHEMA_VERSION == 7
+        assert start["v"] == TRACE_SCHEMA_VERSION == 8
         assert start["batch_size"] == 2 and start["eval_workers"] == 1
 
         proposals = read_trace(path, "proposal")
-        pendings = read_trace(path, "pending")
+        inflight = read_trace(path, "inflight")
         commits = read_trace(path, "commit")
         assert len(proposals) == len(commits) == 5  # n_iter evaluations
-        assert len(pendings) == 3  # rounds: 2 + 2 + 1
+        # One inflight line per scheduling action; the round barrier
+        # fills 2 + 2 + 1 proposals and drains each round completely.
+        assert len(inflight) == 10
+        assert [r["n_pending"] for r in inflight] == [
+            1, 2, 1, 0, 1, 2, 1, 0, 1, 0
+        ]
         for record in proposals:
             assert set(record) == set(PROPOSAL_TRACE_FIELDS)
             assert record["v"] == TRACE_SCHEMA_VERSION
             assert len(record["fantasy"]) == 3
-        for record in pendings:
-            assert set(record) == set(PENDING_TRACE_FIELDS)
+        for record in inflight:
+            assert set(record) == set(INFLIGHT_TRACE_FIELDS)
             assert sum(record["in_flight"].values()) == record["n_pending"]
         for record, proposal in zip(commits, proposals):
             assert set(record) == set(COMMIT_TRACE_FIELDS)
@@ -578,7 +583,7 @@ class TestTraceSchemaV3:
             assert record["requested_fidelity"] == record["fidelity"]
             assert not record["degraded"] and not record["failed"]
             assert record["wasted_runtime_s"] == 0.0
-        assert read_trace(path, "step") == []  # batch mode replaces steps
+        assert read_trace(path, "step") == []  # schema v8: no step events
 
     def test_sequential_trace_unchanged(self, space, tmp_path):
         path = tmp_path / "seq.jsonl"
@@ -588,9 +593,11 @@ class TestTraceSchemaV3:
                 tracer=tracer,
             ).run()
         (start,) = read_trace(path, "run_start")
-        assert "batch_size" not in start
-        assert len(read_trace(path, "step")) == 3
-        assert read_trace(path, "proposal") == []
+        assert start["batch_size"] == 1
+        # The sequential loop emits the same events as every other mode.
+        assert len(read_trace(path, "proposal")) == 3
+        assert len(read_trace(path, "commit")) == 3
+        assert read_trace(path, "step") == []
 
 
 class TestWorkerClamp:

@@ -146,7 +146,7 @@ class TestTransientFaultParity:
         assert not any(r.degraded or r.failed for r in faulted.history)
 
     def test_batch_engine_matches_clean_run(self, space, flow):
-        overrides = dict(batch_engine=True, batch_size=2, eval_workers=2)
+        overrides = dict(batch_size=2, eval_workers=2)
         clean = CorrelatedMFBO(
             space, flow, chaos_settings(**overrides)
         ).run()

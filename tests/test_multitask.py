@@ -1,7 +1,10 @@
 """Tests for the correlated multi-objective GP (repro.core.multitask)."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 from scipy.optimize import approx_fprime
 
 from repro.core.multitask import IndependentMultiObjectiveGP, MultiTaskGP
@@ -43,6 +46,37 @@ class TestMultiTaskGP:
         _, analytic = mt._neg_lml_and_grad(p0, X, Z)
         rel = np.abs(numeric - analytic) / (1.0 + np.abs(numeric))
         assert rel.max() < 1e-3
+
+    @staticmethod
+    def _corrcoef_task_chol(Z):
+        """The init's task factor from ``nan_to_num(np.corrcoef)``."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = np.nan_to_num(np.corrcoef(Z.T), nan=0.0)
+        np.fill_diagonal(corr, 1.0)
+        return cholesky(0.6 * corr + 0.1 * np.eye(Z.shape[1]), lower=True)
+
+    def test_default_init_bitwise_on_varying_objectives(self, correlated_data):
+        X, Y = correlated_data
+        mt = MultiTaskGP(3)
+        Z = (Y - Y.mean(0)) / Y.std(0)
+        _, L, _, _ = mt._unpack(mt._default_init(Z, 3), 3)
+        assert np.array_equal(L, self._corrcoef_task_chol(Z))
+
+    def test_default_init_constant_objective_warns_nothing(
+        self, correlated_data
+    ):
+        # A level whose every observation of one objective was punished
+        # to the same value: that column has zero variance.
+        X, Y = correlated_data
+        Z = (Y - Y.mean(0)) / Y.std(0)
+        Z[:, 1] = 0.0
+        mt = MultiTaskGP(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, L, _, _ = mt._unpack(mt._default_init(Z, 3), 3)
+        assert np.array_equal(L, self._corrcoef_task_chol(Z))
+        B = L @ L.T
+        assert B[0, 1] == B[1, 2] == 0.0  # uncorrelated, not NaN
 
     def test_learns_anticorrelation(self, correlated_data):
         X, Y = correlated_data

@@ -26,7 +26,6 @@ from repro.hlsim.ir import (
 from repro.obs import (
     NULL_SPANS,
     SPAN_TRACE_FIELDS,
-    STEP_TRACE_FIELDS,
     TRACE_SCHEMA_VERSION,
     JsonlTraceWriter,
     Metrics,
@@ -42,6 +41,7 @@ from repro.obs import (
 from repro.obs import monitor as obs_monitor
 from repro.obs import report as obs_report
 from repro.obs import spans as obs_spans
+from repro.obs.trace import COMMIT_TRACE_FIELDS, PROPOSAL_TRACE_FIELDS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -246,15 +246,20 @@ class TestOptimizerTrace:
         assert len(header) == 1
         assert header[0]["v"] == TRACE_SCHEMA_VERSION
         assert header[0]["seed"] == 3
-        steps = read_trace(path, event="step")
+        steps = read_trace(path, event="proposal")
         assert len(steps) == 4  # one line per BO iteration
         for record in steps:
-            assert set(record) == set(STEP_TRACE_FIELDS)
+            assert set(record) == set(PROPOSAL_TRACE_FIELDS)
             assert record["v"] == TRACE_SCHEMA_VERSION
             assert record["fidelity"] in ("hls", "syn", "impl")
             assert record["pool_size"] > 0
-            assert record["step_s"] >= 0.0
+            assert record["select_s"] >= record["fit_s"] >= 0.0
             assert isinstance(record["cache_hits"], int)
+        commits = read_trace(path, event="commit")
+        assert [r["step"] for r in commits] == [0, 1, 2, 3]
+        for record in commits:
+            assert set(record) == set(COMMIT_TRACE_FIELDS)
+            assert record["step_s"] >= record["exec_s"] >= 0.0
         # Trace agrees with the in-memory history for the BO steps.
         bo_records = [r for r in result.history if r.step >= 0
                       and not math.isnan(r.acquisition)]
@@ -267,9 +272,13 @@ class TestOptimizerTrace:
         path_b = tmp_path / "b.jsonl"
         self._traced_run(space, path_a)
         self._traced_run(space, path_b)
-        keys = ("step", "config_index", "fidelity", "acquisition", "valid")
-        trace_a = [[r[k] for k in keys] for r in read_trace(path_a, "step")]
-        trace_b = [[r[k] for k in keys] for r in read_trace(path_b, "step")]
+        keys = ("step", "config_index", "fidelity", "acquisition")
+        trace_a = [
+            [r[k] for k in keys] for r in read_trace(path_a, "proposal")
+        ]
+        trace_b = [
+            [r[k] for k in keys] for r in read_trace(path_b, "proposal")
+        ]
         assert trace_a == trace_b
 
     def test_untraced_run_unaffected(self, space):
@@ -293,7 +302,7 @@ class TestHarnessTraceDir:
                          trace_dir=tmp_path)
         path = tmp_path / "spmv_ellpack.ours.seed5.jsonl"
         assert path.exists()
-        steps = read_trace(path, event="step")
+        steps = read_trace(path, event="proposal")
         assert len(steps) == SMOKE_SCALE.n_iter
         assert run.adrs >= 0.0
 
@@ -468,13 +477,13 @@ class TestSpanWiring:
         spanned_run(space, path)
         spans = read_trace(path, "span")
         names = {r["name"] for r in spans}
-        assert {"run", "init", "step", "fit", "predict", "acquire",
-                "flow_eval", "verify"} <= names
+        assert {"run", "init", "propose", "commit", "fit", "predict",
+                "acquire", "flow_eval", "verify"} <= names
         ids = {r["id"] for r in spans}
         for record in spans:
             assert set(record) == set(SPAN_TRACE_FIELDS)
             assert record["parent"] is None or record["parent"] in ids
-        steps = [r for r in spans if r["name"] == "step"]
+        steps = [r for r in spans if r["name"] == "propose"]
         assert [r["step"] for r in steps] == [0, 1, 2, 3]
         evals = [r for r in spans if r["name"] == "flow_eval"]
         assert all(
@@ -490,21 +499,21 @@ class TestSpanWiring:
         path = tmp_path / "run.jsonl"
         spanned_run(space, path, trace_spans=False)
         assert read_trace(path, "span") == []
-        assert len(read_trace(path, "step")) == 4  # trace still works
+        assert len(read_trace(path, "proposal")) == 4  # trace still works
 
     def test_spans_do_not_change_selections(self, space, tmp_path):
         on = spanned_run(space, tmp_path / "on.jsonl", trace_spans=True)
         off = spanned_run(space, tmp_path / "off.jsonl", trace_spans=False)
         assert on.cs_indices == off.cs_indices
         assert np.array_equal(on.cs_values, off.cs_values)
-        keys = ("step", "config_index", "fidelity", "acquisition", "valid")
+        keys = ("step", "config_index", "fidelity", "acquisition")
         steps_on = [
             [r[k] for k in keys]
-            for r in read_trace(tmp_path / "on.jsonl", "step")
+            for r in read_trace(tmp_path / "on.jsonl", "proposal")
         ]
         steps_off = [
             [r[k] for k in keys]
-            for r in read_trace(tmp_path / "off.jsonl", "step")
+            for r in read_trace(tmp_path / "off.jsonl", "proposal")
         ]
         assert steps_on == steps_off
 
@@ -537,10 +546,18 @@ class TestSpanWiring:
         spanned_run(space, path, batch_size=2, n_iter=4)
         spans = read_trace(path, "span")
         names = {r["name"] for r in spans}
-        assert {"run", "round", "select", "fit", "flow_eval"} <= names
-        rounds = [r for r in spans if r["name"] == "round"]
-        assert [r["args"]["round"] for r in rounds] == [0, 1]
-        assert all(r["args"]["q"] == 2 for r in rounds)
+        assert {"run", "propose", "commit", "fit", "flow_eval"} <= names
+        # The round barrier: both proposals of a round start before
+        # either of its commits, and a round's commits all finish before
+        # the next round's first proposal.
+        order = sorted(
+            (r["t0"], r["name"], r["step"]) for r in spans
+            if r["name"] in ("propose", "commit")
+        )
+        assert [(name, step) for _t0, name, step in order] == [
+            ("propose", 0), ("propose", 1), ("commit", 0), ("commit", 1),
+            ("propose", 2), ("propose", 3), ("commit", 2), ("commit", 3),
+        ]
 
     def test_batch_selections_unchanged_by_spans(self, space, tmp_path):
         keys = ("step", "config_index", "fidelity", "objectives", "valid")

@@ -32,7 +32,7 @@ from repro.core.resilience import journal as run_journal
 from repro.core.resilience.journal import (
     JournalError,
     RunJournal,
-    build_replay_plan,
+    build_async_replay_plan,
     commit_kwargs,
     commit_record,
     deserialize_result,
@@ -317,7 +317,7 @@ class TestJournalEncoding:
 
         result = flow.run(space[3], upto=Fidelity.SYN)
         record = commit_record(
-            phase="loop", step=4, round_index=2, config_index=3,
+            phase="loop", step=4, config_index=3,
             fidelity=Fidelity.SYN, requested_fidelity=Fidelity.IMPL,
             acquisition=0.123456789, result=result,
             rng_state=np.random.default_rng(0).bit_generator.state,
@@ -353,7 +353,7 @@ class TestJournalFile:
 
     def test_missing_header_rejected(self):
         with pytest.raises(JournalError, match="header"):
-            build_replay_plan(
+            build_async_replay_plan(
                 [{"event": "commit"}], quick_settings(), expected_init=6
             )
 
@@ -363,7 +363,47 @@ class TestJournalFile:
         CorrelatedMFBO(space, flow, settings).run()
         other = quick_settings(seed=1)
         with pytest.raises(JournalError, match="seed"):
-            build_replay_plan(read_journal(path), other, expected_init=6)
+            build_async_replay_plan(
+                read_journal(path), other, expected_init=6
+            )
+
+    def test_v2_journal_rejected_naming_both_versions(
+        self, tmp_path, space, flow
+    ):
+        path = tmp_path / "run.journal.jsonl"
+        settings = quick_settings(journal_path=str(path))
+        CorrelatedMFBO(space, flow, settings).run()
+        records = read_journal(path)
+        records[0]["v"] = 2  # a journal written before one-loop replay
+        with pytest.raises(JournalError, match=r"schema v2 != v3"):
+            build_async_replay_plan(records, settings, expected_init=6)
+
+    def test_resume_fsyncs_the_journal_directory(
+        self, tmp_path, space, flow, monkeypatch
+    ):
+        import stat
+
+        path = tmp_path / "run.journal.jsonl"
+        CorrelatedMFBO(
+            space, flow, quick_settings(journal_path=str(path))
+        ).run()
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:9]))
+        synced_dirs = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced_dirs.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        CorrelatedMFBO(
+            space, flow,
+            quick_settings(journal_path=str(path), resume_from=str(path)),
+        ).run()
+        # The rewritten prefix's rename is made durable by an fsync of
+        # the directory entry, not just of the file's contents.
+        assert any(synced_dirs)
 
 
 class TestSequentialResume:
@@ -397,8 +437,9 @@ class TestSequentialResume:
     def test_kill_and_resume_is_bitwise(
         self, space, flow, reference, tmp_path, cut
     ):
-        # cut=4: mid-initial-design (restarts fresh); cut=9: two loop
-        # commits kept; cut=12: loop complete, verification dropped.
+        # cut=4: mid-initial-design (restarts fresh); cut=9: the first
+        # loop step proposed and committed; cut=12: three steps proposed,
+        # two committed (the third is resubmitted).
         result, path = reference
         lines = path.read_text().splitlines(keepends=True)
         assert cut < len(lines)
@@ -441,29 +482,64 @@ class TestBatchResume:
     def reference(self, space, flow, tmp_path_factory):
         path = tmp_path_factory.mktemp("batch") / "ref.journal.jsonl"
         settings = quick_settings(
-            batch_engine=True, batch_size=2, eval_workers=2,
-            journal_path=str(path),
+            batch_size=2, eval_workers=2, journal_path=str(path),
         )
         result = CorrelatedMFBO(space, flow, settings).run()
         return result, path
 
-    @pytest.mark.parametrize("cut", [8, 10])
-    def test_kill_and_resume_is_bitwise(
-        self, space, flow, reference, tmp_path, cut
-    ):
-        # cut=8: one commit of round 0 (torn round is dropped whole and
-        # re-selected); cut=10: round 0 kept, round 1 torn.
+    def _resume(self, space, flow, reference, tmp_path, cut):
         result, path = reference
         lines = path.read_text().splitlines(keepends=True)
         assert cut < len(lines)
         partial = tmp_path / f"cut{cut}.journal.jsonl"
         partial.write_text("".join(lines[:cut]))
         settings = quick_settings(
-            batch_engine=True, batch_size=2, eval_workers=2,
+            batch_size=2, eval_workers=2,
             journal_path=str(partial), resume_from=str(partial),
         )
-        resumed = CorrelatedMFBO(space, flow, settings).run()
+        return CorrelatedMFBO(space, flow, settings).run(), partial
+
+    @pytest.mark.parametrize("cut", [8, 10, 14])
+    def test_kill_and_resume_is_bitwise(
+        self, space, flow, reference, tmp_path, cut
+    ):
+        # Lines: header, 6 init commits, then per round of two: propose,
+        # propose, commit, commit.  cut=8: round 0 half filled; cut=10:
+        # round 0 filled, one commit landed; cut=14: round 1 likewise.
+        result, _ = reference
+        resumed, _ = self._resume(space, flow, reference, tmp_path, cut)
         assert_bitwise_equal(result, resumed)
+
+    def test_mid_fill_cut_resubmits_its_proposals(
+        self, space, flow, reference, tmp_path
+    ):
+        """A round cut after its first proposal resumes by resubmitting
+        the journaled proposal, then fills the rest of the round."""
+        result, path = reference
+        records = read_journal(path)
+        propose_at = [
+            i for i, r in enumerate(records) if r.get("event") == "propose"
+        ]
+        cut = propose_at[0] + 1
+        plan = build_async_replay_plan(
+            records[:cut],
+            quick_settings(batch_size=2, eval_workers=2),
+            expected_init=6,
+        )
+        assert [r["step"] for r in plan.pending] == [0]
+        assert plan.committed == 0
+        resumed, partial = self._resume(space, flow, reference, tmp_path, cut)
+        assert_bitwise_equal(result, resumed)
+        # Step 0 was resubmitted, never re-proposed: the resumed journal
+        # holds one proposal per step, just like the uninterrupted one.
+        steps = [
+            r["step"] for r in read_journal(partial)
+            if r.get("event") == "propose"
+        ]
+        assert steps == list(range(len(steps)))
+        assert steps == [
+            r["step"] for r in records if r.get("event") == "propose"
+        ]
 
     def test_batch_resume_matches_sequential_history_shape(self, reference):
         result, path = reference
