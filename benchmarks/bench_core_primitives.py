@@ -1,8 +1,8 @@
 """Microbenchmarks of the core numerical primitives.
 
 These time the inner-loop costs that dominate every BO experiment:
-GP / multi-task-GP fitting, posterior prediction, hypervolume and the
-Monte-Carlo EIPV estimator.  Useful for catching performance
+GP / multi-task-GP fitting and single likelihood evaluations, posterior
+prediction, hypervolume and the Monte-Carlo EIPV estimator.  Useful for catching performance
 regressions in the math kernels.
 """
 
@@ -40,6 +40,23 @@ def test_multitask_fit(benchmark, data):
         lambda: MultiTaskGP(3, rng=np.random.default_rng(0)).fit(X, Y),
         rounds=3, iterations=1,
     )
+
+
+@pytest.mark.parametrize("n, dim", [(6, 17), (19, 14)])
+def test_multitask_nll_eval(benchmark, n, dim):
+    """One likelihood + gradient evaluation at the BO loop's shapes.
+
+    A 12-step gemm cell makes ~2,000 of these, on 4-19 training points
+    in 14-17 dimensions with three objectives; (6, 17) and (19, 14) are
+    its most frequent and its largest shape.
+    """
+    rng = np.random.default_rng(n)
+    X = rng.uniform(size=(n, dim))
+    Z = rng.normal(size=(n, 3))
+    model = MultiTaskGP(3)
+    params = model._default_init(Z, dim)
+    diffs = model.kernel.pairwise_diffs(X)
+    benchmark(lambda: model._neg_lml_and_grad(params, X, Z, diffs))
 
 
 def test_multitask_predict(benchmark, data):

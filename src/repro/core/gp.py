@@ -42,6 +42,15 @@ LOG_NOISE_BOUNDS = (math.log(1e-8), math.log(1.0))
 JITTER = 1e-8
 
 
+def log_likelihood(chol: np.ndarray, z: np.ndarray, alpha: np.ndarray) -> float:
+    """Gaussian log density of ``z`` given K's Cholesky factor and K⁻¹z."""
+    return (
+        -0.5 * float(z @ alpha)
+        - float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * z.size * math.log(2.0 * math.pi)
+    )
+
+
 @dataclass
 class _FitState:
     """Everything needed for fast posterior evaluation after fitting."""
@@ -148,7 +157,9 @@ class GaussianProcess:
             base = self._state if ephemeral else self._durable_state()
             chol = self._extended_chol(base, X, theta)
         if chol is None:
-            chol, alpha = self._condition(X, z, theta)
+            chol, alpha = self._condition(
+                self.kernel(X, X, theta[:-1]), z, theta[-1]
+            )
         else:
             alpha = linalg.counted_cho_solve(chol, z)
         state = _FitState(
@@ -198,14 +209,12 @@ class GaussianProcess:
             return None
 
     def _condition(
-        self, X: np.ndarray, z: np.ndarray, theta: np.ndarray
+        self, K: np.ndarray, z: np.ndarray, log_noise: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        K = self.kernel(X, X, theta[:-1])
-        noise = math.exp(theta[-1])
-        K[np.diag_indices_from(K)] += noise + JITTER
+        """Cholesky factor of ``K`` + noise + jitter (in place) and K⁻¹z."""
+        K[np.diag_indices_from(K)] += math.exp(log_noise) + JITTER
         L = linalg.chol_factor(K)
-        alpha = linalg.counted_cho_solve(L, z)
-        return L, alpha
+        return L, linalg.counted_cho_solve(L, z)
 
     def _neg_lml_and_grad(
         self,
@@ -214,29 +223,18 @@ class GaussianProcess:
         z: np.ndarray,
         diffs: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
-        n, dim = X.shape
-        K, kernel_grads = self.kernel.with_gradients(X, theta[:-1], diffs=diffs)
-        noise = math.exp(theta[-1])
-        Kn = K.copy()
-        Kn[np.diag_indices_from(Kn)] += noise + JITTER
+        K, dK = self.kernel.with_gradients(X, theta[:-1], diffs=diffs)
         try:
-            L = linalg.chol_factor(Kn)
+            L, alpha = self._condition(K, z, theta[-1])
         except np.linalg.LinAlgError:
             return 1e10, np.zeros_like(theta)
-        alpha = linalg.counted_cho_solve(L, z)
-        lml = (
-            -0.5 * float(z @ alpha)
-            - float(np.sum(np.log(np.diag(L))))
-            - 0.5 * n * math.log(2.0 * math.pi)
-        )
         # dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta)
-        Kinv = linalg.counted_cho_solve(L, np.eye(n))
+        Kinv = linalg.counted_cho_solve(L, np.eye(len(z)))
         W = np.outer(alpha, alpha) - Kinv
         grad = np.empty_like(theta)
-        for k, dK in enumerate(kernel_grads):
-            grad[k] = 0.5 * float(np.sum(W * dK))
-        grad[-1] = 0.5 * noise * float(np.trace(W))
-        return -lml, -grad
+        grad[:-1] = 0.5 * (dK * W).sum(axis=(-2, -1))
+        grad[-1] = 0.5 * math.exp(theta[-1]) * float(np.trace(W))
+        return -log_likelihood(L, z, alpha), -grad
 
     def _optimize(
         self,
@@ -308,8 +306,12 @@ class GaussianProcess:
         state = self._require_state()
         z = (state.y_raw - state.y_mean) / state.y_std
         use = state.theta if theta is None else np.asarray(theta, dtype=float)
-        value, _ = self._neg_lml_and_grad(use, state.X, z)
-        return -value
+        K, _ = self.kernel.with_gradients(state.X, use[:-1])
+        try:
+            L, alpha = self._condition(K, z, use[-1])
+        except np.linalg.LinAlgError:
+            return -1e10
+        return log_likelihood(L, z, alpha)
 
     def sample_posterior(
         self, Xs: np.ndarray, n_samples: int, rng: np.random.Generator

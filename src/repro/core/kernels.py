@@ -100,28 +100,42 @@ class StationaryKernel(abc.ABC):
     def with_gradients(
         self, X: np.ndarray, theta: np.ndarray,
         diffs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """K(X, X) plus ``dK/dtheta_k`` for every log-parameter.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """K(X, X) and ``dK/dtheta_k`` for one θ or a stack of them.
 
-        ``diffs`` optionally carries :meth:`pairwise_diffs` output for
-        ``X`` (identical results, skips the tensor rebuild).
+        ``theta`` is one vector ``(1+d,)`` or a stack ``(P, 1+d)``.
+
+        Returns K ``(..., n, n)`` and the gradients as one C-contiguous
+        array ``(..., 1+d, n, n)``: slice ``[..., k, :, :]`` is the
+        derivative with respect to log-parameter ``k``.  Row ``p`` of a
+        stack gives bitwise what θ ``p`` alone gives.  ``diffs``
+        optionally carries :meth:`pairwise_diffs` output for ``X``
+        (identical results, skips the tensor rebuild).
         """
         X = _as_2d(X)
         dim = X.shape[1]
-        sf2, ls = self.split(theta, dim)
-        # Per-dimension scaled squared distances (needed by ARD grads).
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim not in (1, 2) or theta.shape[-1] != 1 + dim:
+            raise ValueError(
+                f"expected {1 + dim} kernel parameters, got {theta.shape}"
+            )
+        params = np.exp(theta)
+        sf2 = params[..., 0, None, None]
         if diffs is None:
-            diffs = X[:, None, :] - X[None, :, :]
-        scaled = diffs / ls
-        sq_per_dim = scaled * scaled
-        sq = np.sum(sq_per_dim, axis=2)
-        corr, dcorr_dsq = self._corr_and_grad(sq)
+            diffs = self.pairwise_diffs(X)
+        # Per-dimension scaled squared distances (needed by ARD grads).
+        sq_per_dim = diffs / params[..., None, None, 1:]
+        sq_per_dim *= sq_per_dim
+        corr, dcorr_dsq = self._corr_and_grad(np.sum(sq_per_dim, axis=-1))
         K = sf2 * corr
-        grads: list[np.ndarray] = [K.copy()]  # d/dlog sf2 = K
-        for k in range(dim):
-            # d sq / d log ls_k = -2 * sq_k
-            grads.append(sf2 * dcorr_dsq * (-2.0 * sq_per_dim[:, :, k]))
-        return K, grads
+        dK = np.empty(theta.shape + K.shape[-2:])
+        dK[..., 0, :, :] = K  # d/dlog sf2 = K
+        # d sq / d log ls_k = -2 * sq_k
+        np.multiply(
+            np.moveaxis(sq_per_dim, -1, -3), -2.0, out=dK[..., 1:, :, :]
+        )
+        dK[..., 1:, :, :] *= (sf2 * dcorr_dsq)[..., None, :, :]
+        return K, dK
 
     @abc.abstractmethod
     def _corr(self, sq: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.linalg import cholesky
 
 from repro.core import linalg
-from repro.core.gp import JITTER, LOG_NOISE_BOUNDS
+from repro.core.gp import JITTER, LOG_NOISE_BOUNDS, log_likelihood
 from repro.core.kernels import Matern52, StationaryKernel
 from repro.core.restarts import minimize_multistart
 
@@ -255,7 +255,8 @@ class MultiTaskGP:
             base = self._state if ephemeral else self._durable_state()
             ext = self._extended_chol(base, X, params, dim)
         if ext is None:
-            chol, alpha = self._condition(X, Z, theta_s, L, theta_p, log_noise)
+            Ks = [self.kernel(X, X, t) for t in np.vstack([theta_s, theta_p])]
+            chol, alpha = self._condition(np.stack(Ks), Z, L, log_noise)
             row_task = row_point = None
         else:
             chol, row_task, row_point = ext
@@ -376,41 +377,26 @@ class MultiTaskGP:
             np.full(m, math.log(1e-4)),
         )
 
-    def _full_cov(
-        self,
-        X: np.ndarray,
-        theta_s: np.ndarray,
-        L: np.ndarray,
-        theta_p: np.ndarray,
-        log_noise: np.ndarray,
-    ) -> np.ndarray:
-        n = X.shape[0]
-        m = self.n_tasks
-        Kx = self.kernel(X, X, theta_s)
-        B = L @ L.T
-        K = _kron2(B, Kx)
-        if self.private_processes:
-            for t in range(m):
-                Kp = self.kernel(X, X, theta_p[t])
-                K[t * n : (t + 1) * n, t * n : (t + 1) * n] += Kp
-        noise = np.exp(log_noise)
-        K[np.diag_indices_from(K)] += np.repeat(noise, n) + JITTER
-        return K
-
     def _condition(
         self,
-        X: np.ndarray,
+        Ks: np.ndarray,
         Z: np.ndarray,
-        theta_s: np.ndarray,
         L: np.ndarray,
-        theta_p: np.ndarray,
         log_noise: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        K = self._full_cov(X, theta_s, L, theta_p, log_noise)
+        """Cholesky factor and K⁻¹z of the full covariance.
+
+        ``Ks`` stacks the per-process kernel matrices ``(P, n, n)``,
+        shared first (``P = 1 + m`` with private processes, else 1).
+        """
+        n, m = Z.shape
+        K = _kron2(L @ L.T, Ks[0])
+        if self.private_processes:
+            tasks = np.arange(m)
+            K.reshape(m, n, m, n)[tasks, :, tasks, :] += Ks[1:]
+        K[np.diag_indices_from(K)] += np.repeat(np.exp(log_noise), n) + JITTER
         Lc = linalg.chol_factor(K)
-        z = Z.T.ravel()  # task-major stacking
-        alpha = linalg.counted_cho_solve(Lc, z)
-        return Lc, alpha
+        return Lc, linalg.counted_cho_solve(Lc, Z.T.ravel())  # task-major
 
     def _neg_lml_and_grad(
         self,
@@ -422,66 +408,44 @@ class MultiTaskGP:
         n, dim = X.shape
         m = self.n_tasks
         theta_s, L, theta_p, log_noise = self._unpack(params, dim)
-        Kx, shared_grads = self.kernel.with_gradients(X, theta_s, diffs=diffs)
-        B = L @ L.T
-        K = _kron2(B, Kx)
-        private_grads: list[list[np.ndarray]] = []
-        if self.private_processes:
-            for t in range(m):
-                Kp, grads_p = self.kernel.with_gradients(
-                    X, theta_p[t], diffs=diffs
-                )
-                K[t * n : (t + 1) * n, t * n : (t + 1) * n] += Kp
-                private_grads.append(grads_p)
-        noise = np.exp(log_noise)
-        K[np.diag_indices_from(K)] += np.repeat(noise, n) + JITTER
+        # One kernel call for the shared and every private process.
+        Ks, dK = self.kernel.with_gradients(
+            X, np.vstack([theta_s, theta_p]), diffs=diffs
+        )
         try:
-            Lc = linalg.chol_factor(K)
+            Lc, alpha = self._condition(Ks, Z, L, log_noise)
         except np.linalg.LinAlgError:
             return 1e10, np.zeros_like(params)
-        z = Z.T.ravel()
-        alpha = linalg.counted_cho_solve(Lc, z)
-        lml = (
-            -0.5 * float(z @ alpha)
-            - float(np.sum(np.log(np.diag(Lc))))
-            - 0.5 * n * m * math.log(2.0 * math.pi)
+        B = L @ L.T
+        W = np.outer(alpha, alpha) - linalg.counted_cho_solve(
+            Lc, np.eye(n * m)
         )
-        Kinv = linalg.counted_cho_solve(Lc, np.eye(n * m))
-        W = np.outer(alpha, alpha) - Kinv
-
+        # Contiguous (m, m, n, n) copy of W's task-pair blocks: every
+        # contraction below reduces contiguous n x n slices, which keeps
+        # it bitwise equal to a per-block np.sum (DESIGN §8).
+        W_blocks = np.ascontiguousarray(
+            W.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+        )
+        W_diag = W_blocks[np.arange(m), np.arange(m)]
         # Block traces T[i, j] = tr(W_ij Kx) drive the task-matrix grads;
-        # Wb = sum_ij B_ij W_ij drives the shared-kernel grads.
-        T = np.empty((m, m))
-        Wb = np.zeros((n, n))
-        W_diag_blocks = []
-        for i in range(m):
-            W_diag_blocks.append(W[i * n : (i + 1) * n, i * n : (i + 1) * n])
-            for j in range(m):
-                Wij = W[i * n : (i + 1) * n, j * n : (j + 1) * n]
-                T[i, j] = float(np.sum(Wij * Kx))
-                Wb += B[i, j] * Wij
+        # Wb = sum_ij B_ij W_ij drives the shared-kernel grads and each
+        # diagonal block W_tt its private process's grads.
+        T = (W_blocks * Ks[0]).sum(axis=(-2, -1))
+        Wb = (B[:, :, None, None] * W_blocks).sum(axis=(0, 1))
+        W_proc = Wb[None]  # one weight per process, shared first
+        if self.private_processes:
+            W_proc = np.concatenate([W_proc, W_diag])
+        kernel_grad = 0.5 * (dK * W_proc[:, None]).sum(axis=(-2, -1))
 
         grad = np.empty_like(params)
         nk = self._nk(dim)
-        for k, dKx in enumerate(shared_grads):
-            grad[k] = 0.5 * float(np.sum(Wb * dKx))
+        grad[:nk] = kernel_grad[0]
         # d/dL_ab of 0.5 sum_ij dB_ij T_ij with dB = E_ab L^T + L E_ab^T
-        grad_L = T @ L
         rows, cols = _tril_indices(m)
-        nl = len(rows)
-        grad[nk : nk + nl] = grad_L[rows, cols]
-        offset = nk + nl
-        if self.private_processes:
-            for t in range(m):
-                Wtt = W_diag_blocks[t]
-                for k, dKp in enumerate(private_grads[t]):
-                    grad[offset + t * nk + k] = 0.5 * float(np.sum(Wtt * dKp))
-            offset += m * nk
-        for t in range(m):
-            grad[offset + t] = 0.5 * noise[t] * float(
-                np.trace(W_diag_blocks[t])
-            )
-        return -lml, -grad
+        grad[nk : nk + len(rows)] = (T @ L)[rows, cols]
+        grad[nk + len(rows) : -m] = kernel_grad[1:].ravel()
+        grad[-m:] = 0.5 * np.exp(log_noise) * np.trace(W_diag, axis1=1, axis2=2)
+        return -log_likelihood(Lc, Z.T.ravel(), alpha), -grad
 
     def _optimize(
         self,
@@ -606,8 +570,14 @@ class MultiTaskGP:
     def log_marginal_likelihood(self) -> float:
         state = self._require_state()
         Z = (state.Y_raw - state.y_mean) / state.y_std
-        value, _ = self._neg_lml_and_grad(self.params(), state.X, Z)
-        return -value
+        Ks, _ = self.kernel.with_gradients(
+            state.X, np.vstack([state.theta_shared, state.theta_private])
+        )
+        try:
+            Lc, alpha = self._condition(Ks, Z, state.task_chol, state.log_noise)
+        except np.linalg.LinAlgError:
+            return -1e10
+        return log_likelihood(Lc, Z.T.ravel(), alpha)
 
     def _require_state(self) -> _MTState:
         if self._state is None:
