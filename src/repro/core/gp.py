@@ -73,16 +73,12 @@ class GaussianProcess:
         n_restarts: int = 2,
         max_opt_iter: int = 80,
         rng: np.random.Generator | None = None,
-        restart_workers: int | None = None,
         incremental: bool = True,
     ):
         self.kernel = kernel or Matern52()
         self.n_restarts = n_restarts
         self.max_opt_iter = max_opt_iter
         self.rng = rng or np.random.default_rng(0)
-        #: pool size for multi-start LML descents (None = env/off); the
-        #: selected optimum is identical at any worker count.
-        self.restart_workers = restart_workers
         #: allow fixed-hyperparameter refits on superset data to extend
         #: the previous Cholesky factor instead of refactorizing.
         self.incremental = incremental
@@ -263,7 +259,6 @@ class GaussianProcess:
             args=(X, z, diffs),
             bounds=bounds,
             maxiter=self.max_opt_iter,
-            workers=self.restart_workers,
             fallback=theta0,
         )
 

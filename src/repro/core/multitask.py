@@ -109,7 +109,6 @@ class MultiTaskGP:
         max_opt_iter: int = 80,
         rng: np.random.Generator | None = None,
         private_processes: bool = True,
-        restart_workers: int | None = None,
         incremental: bool = True,
     ):
         if n_tasks < 1:
@@ -120,9 +119,6 @@ class MultiTaskGP:
         self.max_opt_iter = max_opt_iter
         self.rng = rng or np.random.default_rng(0)
         self.private_processes = private_processes
-        #: pool size for multi-start LML descents (None = env/off); the
-        #: selected optimum is identical at any worker count.
-        self.restart_workers = restart_workers
         #: allow fixed-parameter refits on superset data to extend the
         #: previous Cholesky factor instead of refactorizing.
         self.incremental = incremental
@@ -470,7 +466,6 @@ class MultiTaskGP:
             args=(X, Z, diffs),
             bounds=bounds,
             maxiter=self.max_opt_iter,
-            workers=self.restart_workers,
             fallback=starts[0],
         )
 
@@ -601,7 +596,6 @@ class IndependentMultiObjectiveGP:
         n_restarts: int = 1,
         max_opt_iter: int = 80,
         rng: np.random.Generator | None = None,
-        restart_workers: int | None = None,
         incremental: bool = True,
     ):
         from repro.core.gp import GaussianProcess
@@ -615,7 +609,6 @@ class IndependentMultiObjectiveGP:
                 n_restarts=n_restarts,
                 max_opt_iter=max_opt_iter,
                 rng=rng or np.random.default_rng(0),
-                restart_workers=restart_workers,
                 incremental=incremental,
             )
             for _ in range(n_tasks)

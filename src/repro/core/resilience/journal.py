@@ -23,22 +23,23 @@ uninterrupted one:
   evaluation, then hard-restores the journaled RNG state — cheaper
   than the run, yet state-identical to it.
 - A crash can only truncate the final line; :func:`read_journal`
-  tolerates a torn tail.  Any journal prefix is a consistent snapshot:
-  proposals without a matching commit are exactly the pending set,
-  resubmitted verbatim on resume — in every loop mode, a half-filled
-  round barrier included (:func:`build_async_replay_plan`).
+  drops a torn tail by the same rule as the broker's WAL
+  (:mod:`repro.fleet.wal` holds the one append/read/tail contract).
+  Any journal prefix is a consistent snapshot: proposals without a
+  matching commit are exactly the pending set, resubmitted verbatim
+  on resume — in every loop mode, a half-filled round barrier
+  included (:func:`build_async_replay_plan`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
-from repro.fleet.wal import durable_replace
+from repro.fleet.wal import AppendLog, WalError, scan_wal, tail_complete
 from repro.hlsim.reports import Fidelity, FlowResult, StageReport
 
 __all__ = [
@@ -311,24 +312,14 @@ def propose_kwargs(record: dict[str, Any]) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
-class RunJournal:
-    """Append-only JSONL journal with per-line flush + fsync."""
-
-    def __init__(self, path: str | Path, _handle: IO[str] | None = None):
-        self.path = Path(path)
-        if _handle is not None:
-            self._handle = _handle
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-        self.records_written = 0
+class RunJournal(AppendLog):
+    """The run journal on the shared fsync'd append log
+    (:class:`repro.fleet.wal.AppendLog`); records are encoded here."""
 
     @classmethod
     def create(cls, path: str | Path, header: dict[str, Any]) -> "RunJournal":
         """Start a fresh journal (truncating any existing file)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        journal = cls(path, _handle=path.open("w"))
+        journal = cls(path, truncate=True)
         journal.write(header)
         return journal
 
@@ -339,110 +330,37 @@ class RunJournal:
         records: list[dict[str, Any]],
     ) -> "RunJournal":
         """Materialize ``records`` (header + kept prefix + resume marker)
-        atomically, then open the file for appending.
+        atomically, then keep appending after them.
 
         Used on resume: the kept prefix is rewritten verbatim through
         :func:`repro.fleet.wal.durable_replace` (temp file, fsync,
         rename, directory fsync), so a crash during resume never leaves
         a half-rewritten journal behind.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-
-        def write(handle) -> None:
-            for record in records:
-                handle.write((_dumps(record) + "\n").encode("utf-8"))
-
-        durable_replace(path, write)
         journal = cls(path)
-        journal.records_written = len(records)
+        journal.replace(_encode(record) for record in records)
         return journal
 
     def write(self, record: dict[str, Any]) -> None:
-        if self._handle is None:
-            raise RuntimeError(f"journal {self.path} is closed")
-        self._handle.write(_dumps(record) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self.records_written += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        self.append_line(_encode(record))
 
 
-def _dumps(record: dict[str, Any]) -> str:
+def _encode(record: dict[str, Any]) -> bytes:
     # allow_nan=False: every float field must already be sentinel-encoded
     # — a raw NaN slipping through would otherwise produce non-JSON.
-    return json.dumps(record, sort_keys=True, allow_nan=False)
+    line = json.dumps(record, sort_keys=True, allow_nan=False)
+    return line.encode("utf-8") + b"\n"
 
 
 def read_journal(path: str | Path) -> list[dict[str, Any]]:
-    """All parseable records; a torn trailing line is silently dropped.
-
-    A crash mid-``write`` can only corrupt the final line (each write is
-    one flushed+fsync'd append); garbage *before* the last line means
-    the file was damaged by something else, and is an error.
-    """
-    records: list[dict[str, Any]] = []
-    path = Path(path)
-    with path.open() as handle:
-        lines = handle.readlines()
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                break  # torn tail from a mid-write crash
-            raise JournalError(
-                f"{path}: corrupt journal line {i + 1} (not last — the "
-                f"file was damaged outside a normal crash)"
-            ) from None
-    return records
-
-
-def tail_complete(
-    path: str | Path, offset: int = 0
-) -> tuple[bytes, bool, int]:
-    """``(data, reset, start)`` — new complete-line bytes past ``offset``.
-
-    The streaming primitive behind mid-cell resume: a fleet worker
-    tails its cell journal with this between heartbeats, shipping only
-    whole lines (a half-written tail stays local until its fsync
-    lands).  A file *smaller* than ``offset`` means
-    :meth:`RunJournal.continue_from` rewrote it — the caller must
-    restart the stream, signalled by ``reset=True`` and ``start == 0``.
-    A missing file yields no data.  ``start + len(data)`` is the next
-    offset once the chunk is acknowledged.
-    """
-    path = Path(path)
+    """All complete records, by the shared torn-tail rule of
+    :func:`repro.fleet.wal.scan_wal`: an unterminated or unparseable
+    final line is dropped, garbage before it raises
+    :class:`JournalError`."""
     try:
-        size = path.stat().st_size
-    except OSError:
-        return b"", False, offset
-    start = offset
-    reset = False
-    if size < start:
-        start = 0
-        reset = True
-    if size == start and not reset:
-        return b"", False, start
-    with path.open("rb") as handle:
-        handle.seek(start)
-        data = handle.read()
-    cut = data.rfind(b"\n")
-    data = data[: cut + 1] if cut >= 0 else b""
-    return data, reset, start
+        return [record for record, _ in scan_wal(path)]
+    except WalError as exc:
+        raise JournalError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,8 @@ objective correlation (Sec. IV-B), non-linear fidelity chaining
 verification pass — and reports mean ADRS and simulated tool time.
 
 Usage: ``python -m repro.experiments.ablations [--benchmark NAME]
-[--repeats N] [--iters N] [--workers N] [--batch-size Q]
-[--eval-workers N] [--cache-dir DIR] [--journal-dir DIR] [--resume]
-[--retry-max-attempts N] [--retry-backoff-s S] [--no-degrade]
-[--trace-dir DIR] [--trace-spans]``
+[--repeats N] [--iters N] [--seed N] [RUN OPTIONS]``, where the run
+options are the shared driver flags of :mod:`repro.experiments.options`.
 """
 
 from __future__ import annotations
@@ -23,6 +21,11 @@ import numpy as np
 
 from repro.core.optimizer import CorrelatedMFBO, MFBOSettings
 from repro.experiments.harness import BenchmarkContext, method_seed
+from repro.experiments.options import (
+    RunOptions,
+    add_run_options,
+    parse_run_options,
+)
 from repro.obs.trace import JsonlTraceWriter
 
 ABLATIONS: dict[str, dict] = {
@@ -46,56 +49,35 @@ def ablation_job(
     candidate_pool: int,
     n_mc_samples: int,
     seed: int,
-    cache_dir: str | None = None,
-    batch_size: int = 1,
-    eval_workers: int = 1,
-    async_engine: bool = False,
-    inflight_target: int | None = None,
-    retry_max_attempts: int = 3,
-    retry_backoff_s: float = 0.0,
-    degrade_on_failure: bool = True,
-    journal_dir: str | None = None,
-    resume: bool = False,
-    trace_dir: str | None = None,
-    trace_spans: bool = False,
+    options: RunOptions = RunOptions(),
 ) -> tuple[float, float]:
     """One (ablation, repeat) cell: ``(adrs, runtime_s)``.
 
     Module-level (picklable); the overrides are resolved from the label
     so the job payload stays plain data.
     """
-    ctx = BenchmarkContext.get(benchmark, cache_dir=cache_dir)
+    ctx = BenchmarkContext.get(benchmark, cache_dir=options.cache_dir)
+    stem = f"{benchmark}.{_label_slug(label)}.seed{seed}"
     journal_path = None
-    if journal_dir is not None:
-        Path(journal_dir).mkdir(parents=True, exist_ok=True)
+    if options.journal_dir is not None:
+        Path(options.journal_dir).mkdir(parents=True, exist_ok=True)
         journal_path = str(
-            Path(journal_dir)
-            / f"{benchmark}.{_label_slug(label)}.seed{seed}.journal.jsonl"
+            Path(options.journal_dir) / f"{stem}.journal.jsonl"
         )
     settings = MFBOSettings(
         n_iter=n_iter,
         candidate_pool=candidate_pool,
         n_mc_samples=n_mc_samples,
-        batch_size=batch_size,
-        eval_workers=eval_workers,
-        async_engine=async_engine,
-        inflight_target=inflight_target,
-        retry_max_attempts=retry_max_attempts,
-        retry_backoff_s=retry_backoff_s,
-        degrade_on_failure=degrade_on_failure,
         journal_path=journal_path,
-        resume_from=journal_path if resume else None,
-        trace_spans=trace_spans,
+        resume_from=journal_path if options.resume else None,
         seed=seed,
+        **options.knobs(),
         **ABLATIONS[label],
     )
     tracer = None
-    if trace_dir is not None:
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
-        tracer = JsonlTraceWriter(
-            Path(trace_dir)
-            / f"{benchmark}.{_label_slug(label)}.seed{seed}.jsonl"
-        )
+    if options.trace_dir is not None:
+        Path(options.trace_dir).mkdir(parents=True, exist_ok=True)
+        tracer = JsonlTraceWriter(Path(options.trace_dir) / f"{stem}.jsonl")
     try:
         result = CorrelatedMFBO(
             ctx.space, ctx.flow, settings, method_name=label, tracer=tracer
@@ -114,31 +96,11 @@ def run(
     n_mc_samples: int = 64,
     base_seed: int = 77,
     verbose: bool = True,
-    workers: int = 1,
-    cache_dir: str | None = None,
-    batch_size: int = 1,
-    eval_workers: int = 1,
-    async_engine: bool = False,
-    inflight_target: int | None = None,
-    journal_dir: str | None = None,
-    resume: bool = False,
-    retry_max_attempts: int = 3,
-    retry_backoff_s: float = 0.0,
-    degrade_on_failure: bool = True,
-    trace_dir: str | None = None,
-    trace_spans: bool = False,
+    options: RunOptions = RunOptions(),
 ) -> dict[str, dict]:
     cells: dict[tuple[str, int], tuple[float, float]] = {}
-    resilience_kwargs = dict(
-        retry_max_attempts=retry_max_attempts,
-        retry_backoff_s=retry_backoff_s,
-        degrade_on_failure=degrade_on_failure,
-        journal_dir=journal_dir,
-        resume=resume,
-        trace_dir=trace_dir,
-        trace_spans=trace_spans,
-    )
-    if workers > 1 or (journal_dir is not None and resume):
+    if options.workers > 1 or (options.journal_dir is not None
+                               and options.resume):
         from repro.experiments.parallel import Job, raise_failures, run_jobs
 
         jobs = [
@@ -148,18 +110,13 @@ def run(
                             candidate_pool=candidate_pool,
                             n_mc_samples=n_mc_samples,
                             seed=method_seed(base_seed, label, repeat),
-                            cache_dir=cache_dir,
-                            batch_size=batch_size,
-                            eval_workers=eval_workers,
-                            async_engine=async_engine,
-                            inflight_target=inflight_target,
-                            **resilience_kwargs))
+                            options=options))
             for label in ABLATIONS
             for repeat in range(repeats)
         ]
         outcomes = run_jobs(
-            jobs, workers=workers, cache_dir=cache_dir,
-            snapshot_dir=journal_dir, resume=resume,
+            jobs, workers=options.workers, cache_dir=options.cache_dir,
+            snapshot_dir=options.journal_dir, resume=options.resume,
         )
         raise_failures(outcomes)
         cells = {(o.job.method, o.job.repeat): o.value for o in outcomes}
@@ -169,12 +126,7 @@ def run(
                 cells[(label, repeat)] = ablation_job(
                     benchmark, label, n_iter, candidate_pool, n_mc_samples,
                     seed=method_seed(base_seed, label, repeat),
-                    cache_dir=cache_dir,
-                    batch_size=batch_size,
-                    eval_workers=eval_workers,
-                    async_engine=async_engine,
-                    inflight_target=inflight_target,
-                    **resilience_kwargs,
+                    options=options,
                 )
     results: dict[str, dict] = {}
     for label in ABLATIONS:
@@ -195,66 +147,24 @@ def run(
     return results
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--benchmark", default="spmv_ellpack")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--iters", type=int, default=30)
     parser.add_argument("--seed", type=int, default=77)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool size (1 = sequential)")
-    parser.add_argument("--batch-size", type=int, default=1,
-                        help="BO candidates proposed per round (qPEIPV)")
-    parser.add_argument("--async", dest="async_engine", action="store_true",
-                        help="commit-as-completed async BO pipeline with "
-                             "an adaptive in-flight target (bounded by "
-                             "--eval-workers)")
-    parser.add_argument("--inflight-target", type=int, default=None,
-                        help="pin the async pipeline's in-flight target "
-                             "(implies --async; 1 = bitwise-sequential)")
-    parser.add_argument("--eval-workers", type=int, default=1,
-                        help="in-run flow-evaluation workers per BO loop")
-    parser.add_argument("--cache-dir", default="",
-                        help="persistent ground-truth cache directory")
-    parser.add_argument("--journal-dir", default="",
-                        help="checkpoint BO runs (and snapshot cells) here")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from journals/snapshots in --journal-dir")
-    parser.add_argument("--retry-max-attempts", type=int, default=3,
-                        help="flow-crash retry budget per fidelity")
-    parser.add_argument("--retry-backoff-s", type=float, default=0.0,
-                        help="base backoff between retry attempts (seconds)")
-    parser.add_argument("--no-degrade", action="store_true",
-                        help="fail instead of degrading fidelity on "
-                             "retry exhaustion")
-    parser.add_argument("--trace-dir", default="",
-                        help="write per-cell JSONL traces here")
-    parser.add_argument("--trace-spans", action="store_true",
-                        help="record nested spans into the traces "
-                             "(requires --trace-dir)")
-    args = parser.parse_args(argv)
-    if args.resume and not args.journal_dir:
-        parser.error("--resume requires --journal-dir")
-    if args.trace_spans and not args.trace_dir:
-        parser.error("--trace-spans requires --trace-dir")
+    add_run_options(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args, options = parse_run_options(build_parser(), argv)
     run(
         benchmark=args.benchmark,
         repeats=args.repeats,
         n_iter=args.iters,
         base_seed=args.seed,
-        workers=args.workers,
-        cache_dir=args.cache_dir or None,
-        batch_size=args.batch_size,
-        eval_workers=args.eval_workers,
-        async_engine=args.async_engine,
-        inflight_target=args.inflight_target,
-        journal_dir=args.journal_dir or None,
-        resume=args.resume,
-        retry_max_attempts=args.retry_max_attempts,
-        retry_backoff_s=args.retry_backoff_s,
-        degrade_on_failure=not args.no_degrade,
-        trace_dir=args.trace_dir or None,
-        trace_spans=args.trace_spans,
+        options=options,
     )
     return 0
 

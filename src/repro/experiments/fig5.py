@@ -8,6 +8,8 @@ the motivation for the *non-linear* multi-fidelity model (Sec. IV-A).
 Usage: ``python -m repro.experiments.fig5 [--benchmarks gemm,...]
 [--workers N] [--eval-workers N] [--cache-dir DIR]
 [--journal-dir DIR] [--resume] [--trace-dir DIR] [--trace-spans]``
+(the shared driver flags of :mod:`repro.experiments.options` less the
+BO knobs).
 
 ``--workers`` pools whole benchmarks across processes;
 ``--eval-workers`` additionally splits each benchmark's whole-space
@@ -28,6 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.harness import BenchmarkContext
+from repro.experiments.options import (
+    RunOptions,
+    add_run_options,
+    parse_run_options,
+)
 from repro.hlsim.flow import fidelity_sweep
 from repro.hlsim.reports import ALL_FIDELITIES
 from repro.obs.spans import NULL_SPANS, SpanRecorder
@@ -114,41 +121,33 @@ def sweep_job(
 def run(
     benchmarks: tuple[str, ...] = DEFAULT_BENCHMARKS,
     verbose: bool = True,
-    workers: int = 1,
-    cache_dir: str | None = None,
-    eval_workers: int = 1,
-    journal_dir: str | None = None,
-    resume: bool = False,
-    trace_dir: str | None = None,
-    trace_spans: bool = False,
+    options: RunOptions = RunOptions(),
 ) -> dict[str, dict]:
-    results = {}
-    if workers > 1 or journal_dir is not None:
+    sweep = dict(
+        cache_dir=options.cache_dir, eval_workers=options.eval_workers,
+        trace_dir=options.trace_dir, trace_spans=options.trace_spans,
+    )
+    if options.workers > 1 or options.journal_dir is not None:
         from repro.experiments.parallel import Job, raise_failures, run_jobs
 
         jobs = [
             Job(benchmark=name, method="fig5-sweep", repeat=0,
-                fn=sweep_job,
-                kwargs=dict(name=name, cache_dir=cache_dir,
-                            eval_workers=eval_workers,
-                            trace_dir=trace_dir, trace_spans=trace_spans))
+                fn=sweep_job, kwargs=dict(name=name, **sweep))
             for name in benchmarks
         ]
         trace_path = (
-            Path(trace_dir) / "fig5.jobs.jsonl" if trace_dir else None
+            Path(options.trace_dir) / "fig5.jobs.jsonl"
+            if options.trace_dir else None
         )
         outcomes = run_jobs(
-            jobs, workers=workers, trace_path=trace_path,
-            cache_dir=cache_dir, snapshot_dir=journal_dir, resume=resume,
+            jobs, workers=options.workers, trace_path=trace_path,
+            cache_dir=options.cache_dir, snapshot_dir=options.journal_dir,
+            resume=options.resume,
         )
         raise_failures(outcomes)
         results = {o.job.benchmark: o.value for o in outcomes}
     else:
-        for name in benchmarks:
-            results[name] = sweep_job(
-                name, cache_dir=cache_dir, eval_workers=eval_workers,
-                trace_dir=trace_dir, trace_spans=trace_spans,
-            )
+        results = {name: sweep_job(name, **sweep) for name in benchmarks}
     for name in benchmarks:
         if verbose:
             print(
@@ -166,42 +165,19 @@ def run(
     return results
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--benchmarks", default=",".join(DEFAULT_BENCHMARKS),
         help="comma-separated benchmark names",
     )
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool size (1 = sequential)")
-    parser.add_argument("--eval-workers", type=int, default=1,
-                        help="flow-worker threads per whole-space sweep")
-    parser.add_argument("--cache-dir", default="",
-                        help="persistent ground-truth cache directory")
-    parser.add_argument("--journal-dir", default="",
-                        help="snapshot finished per-benchmark sweeps here")
-    parser.add_argument("--resume", action="store_true",
-                        help="restore finished sweeps from --journal-dir")
-    parser.add_argument("--trace-dir", default="",
-                        help="write sweep trace files here")
-    parser.add_argument("--trace-spans", action="store_true",
-                        help="record spans around each sweep "
-                             "(requires --trace-dir)")
-    args = parser.parse_args(argv)
-    if args.resume and not args.journal_dir:
-        parser.error("--resume requires --journal-dir")
-    if args.trace_spans and not args.trace_dir:
-        parser.error("--trace-spans requires --trace-dir")
-    run(
-        tuple(b for b in args.benchmarks.split(",") if b),
-        workers=args.workers,
-        cache_dir=args.cache_dir or None,
-        eval_workers=args.eval_workers,
-        journal_dir=args.journal_dir or None,
-        resume=args.resume,
-        trace_dir=args.trace_dir or None,
-        trace_spans=args.trace_spans,
-    )
+    add_run_options(parser, bo=False)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args, options = parse_run_options(build_parser(), argv)
+    run(tuple(b for b in args.benchmarks.split(",") if b), options=options)
     return 0
 
 

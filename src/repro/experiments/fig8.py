@@ -9,9 +9,8 @@ statistic is each method's ADRS; the paper's qualitative claim is that
 points".
 
 Usage: ``python -m repro.experiments.fig8 [--scale smoke|small|paper]
-[--workers N] [--batch-size Q] [--eval-workers N] [--cache-dir DIR]
-[--journal-dir DIR] [--resume] [--retry-max-attempts N]
-[--retry-backoff-s S] [--no-degrade] [--trace-dir DIR] [--trace-spans]``
+[--benchmarks A,B] [--seed N] [RUN OPTIONS]``, where the run options
+are the shared driver flags of :mod:`repro.experiments.options`.
 
 ``--journal-dir``/``--resume`` checkpoint and resume the BO cells
 (bitwise identical to an uninterrupted run); the retry flags tune the
@@ -34,6 +33,11 @@ from repro.experiments.harness import (
     method_seed,
     run_method,
 )
+from repro.experiments.options import (
+    RunOptions,
+    add_run_options,
+    parse_run_options,
+)
 
 SCALES = {"smoke": SMOKE_SCALE, "small": SMALL_SCALE, "paper": PAPER_SCALE}
 DEFAULT_BENCHMARKS = ("gemm", "spmv_ellpack")
@@ -48,37 +52,14 @@ def run(
     scale_name: str = "small",
     base_seed: int = 2021,
     verbose: bool = True,
-    workers: int = 1,
-    cache_dir: str | None = None,
-    batch_size: int = 1,
-    eval_workers: int = 1,
-    async_engine: bool = False,
-    inflight_target: int | None = None,
-    journal_dir: str | None = None,
-    resume: bool = False,
-    retry_max_attempts: int = 3,
-    retry_backoff_s: float = 0.0,
-    degrade_on_failure: bool = True,
-    trace_dir: str | None = None,
-    trace_spans: bool = False,
+    options: RunOptions = RunOptions(),
 ) -> dict[str, dict]:
-    from repro.experiments.table1 import apply_overrides
-
-    scale = apply_overrides(
-        SCALES[scale_name], batch_size=batch_size, eval_workers=eval_workers,
-        async_engine=async_engine, inflight_target=inflight_target,
-        retry_max_attempts=retry_max_attempts,
-        retry_backoff_s=retry_backoff_s,
-        degrade_on_failure=degrade_on_failure,
-        trace_spans=trace_spans,
-    )
     method_runs = _collect_method_runs(
-        benchmarks, scale, base_seed, workers=workers, cache_dir=cache_dir,
-        journal_dir=journal_dir, resume=resume, trace_dir=trace_dir,
+        benchmarks, options.apply(SCALES[scale_name]), base_seed, options
     )
     results: dict[str, dict] = {}
     for name in benchmarks:
-        ctx = BenchmarkContext.get(name, cache_dir=cache_dir)
+        ctx = BenchmarkContext.get(name, cache_dir=options.cache_dir)
         entry: dict = {
             "true_front": ctx.true_front,
             "all_values": ctx.Y_true[ctx.valid],
@@ -108,14 +89,15 @@ def _collect_method_runs(
     benchmarks: tuple[str, ...],
     scale,
     base_seed: int,
-    workers: int = 1,
-    cache_dir: str | None = None,
-    journal_dir: str | None = None,
-    resume: bool = False,
-    trace_dir: str | None = None,
+    options: RunOptions,
 ) -> dict:
     """One MethodRun per (benchmark, method) cell, parallel when asked."""
-    if workers > 1 or (journal_dir is not None and resume):
+    cell = dict(
+        trace_dir=options.trace_dir, journal_dir=options.journal_dir,
+        resume=options.resume,
+    )
+    if options.workers > 1 or (options.journal_dir is not None
+                               and options.resume):
         from repro.experiments.parallel import (
             Job,
             raise_failures,
@@ -128,14 +110,13 @@ def _collect_method_runs(
                 fn=run_method_job,
                 kwargs=dict(benchmark=name, method=method, scale=scale,
                             seed=method_seed(base_seed, method, 0),
-                            trace_dir=trace_dir, cache_dir=cache_dir,
-                            journal_dir=journal_dir, resume=resume))
+                            cache_dir=options.cache_dir, **cell))
             for name in benchmarks
             for method in TABLE1_METHODS
         ]
         outcomes = run_jobs(
-            jobs, workers=workers, cache_dir=cache_dir,
-            snapshot_dir=journal_dir, resume=resume,
+            jobs, workers=options.workers, cache_dir=options.cache_dir,
+            snapshot_dir=options.journal_dir, resume=options.resume,
         )
         raise_failures(outcomes)
         return {
@@ -143,11 +124,11 @@ def _collect_method_runs(
         }
     runs = {}
     for name in benchmarks:
-        ctx = BenchmarkContext.get(name, cache_dir=cache_dir)
+        ctx = BenchmarkContext.get(name, cache_dir=options.cache_dir)
         for method in TABLE1_METHODS:
             runs[(name, method)] = run_method(
                 ctx, method, scale, seed=method_seed(base_seed, method, 0),
-                trace_dir=trace_dir, journal_dir=journal_dir, resume=resume,
+                **cell,
             )
     return runs
 
@@ -164,66 +145,24 @@ def scatter_series(entry: dict, projection: str) -> dict[str, np.ndarray]:
     return series
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=sorted(SCALES), default="small")
     parser.add_argument(
         "--benchmarks", default=",".join(DEFAULT_BENCHMARKS)
     )
     parser.add_argument("--seed", type=int, default=2021)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool size (1 = sequential)")
-    parser.add_argument("--batch-size", type=int, default=1,
-                        help="BO candidates proposed per round (qPEIPV)")
-    parser.add_argument("--async", dest="async_engine", action="store_true",
-                        help="commit-as-completed async BO pipeline with "
-                             "an adaptive in-flight target (bounded by "
-                             "--eval-workers)")
-    parser.add_argument("--inflight-target", type=int, default=None,
-                        help="pin the async pipeline's in-flight target "
-                             "(implies --async; 1 = bitwise-sequential)")
-    parser.add_argument("--eval-workers", type=int, default=1,
-                        help="in-run flow-evaluation workers per BO loop")
-    parser.add_argument("--cache-dir", default="",
-                        help="persistent ground-truth cache directory")
-    parser.add_argument("--journal-dir", default="",
-                        help="checkpoint BO runs (and snapshot cells) here")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from journals/snapshots in --journal-dir")
-    parser.add_argument("--retry-max-attempts", type=int, default=3,
-                        help="flow-crash retry budget per fidelity")
-    parser.add_argument("--retry-backoff-s", type=float, default=0.0,
-                        help="base backoff between retry attempts (seconds)")
-    parser.add_argument("--no-degrade", action="store_true",
-                        help="fail instead of degrading fidelity on "
-                             "retry exhaustion")
-    parser.add_argument("--trace-dir", default="",
-                        help="write per-cell JSONL traces here")
-    parser.add_argument("--trace-spans", action="store_true",
-                        help="record nested spans into the traces "
-                             "(requires --trace-dir)")
-    args = parser.parse_args(argv)
-    if args.resume and not args.journal_dir:
-        parser.error("--resume requires --journal-dir")
-    if args.trace_spans and not args.trace_dir:
-        parser.error("--trace-spans requires --trace-dir")
+    add_run_options(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args, options = parse_run_options(build_parser(), argv)
     run(
         tuple(b for b in args.benchmarks.split(",") if b),
         scale_name=args.scale,
         base_seed=args.seed,
-        workers=args.workers,
-        cache_dir=args.cache_dir or None,
-        batch_size=args.batch_size,
-        eval_workers=args.eval_workers,
-        async_engine=args.async_engine,
-        inflight_target=args.inflight_target,
-        journal_dir=args.journal_dir or None,
-        resume=args.resume,
-        retry_max_attempts=args.retry_max_attempts,
-        retry_backoff_s=args.retry_backoff_s,
-        degrade_on_failure=not args.no_degrade,
-        trace_dir=args.trace_dir or None,
-        trace_spans=args.trace_spans,
+        options=options,
     )
     return 0
 

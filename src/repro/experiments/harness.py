@@ -502,7 +502,7 @@ def run_table1(
     rows = []
     for name in names:
         if verbose:
-            print(f"benchmark {name}:")
+            print(f"benchmark {name}:", flush=True)
         runs = run_benchmark(
             name, methods=methods, scale=scale, base_seed=base_seed,
             verbose=verbose, trace_dir=trace_dir, cache_dir=cache_dir,

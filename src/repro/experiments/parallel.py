@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +51,7 @@ import multiprocessing
 from repro.benchsuite.registry import benchmark_names
 from repro.core.batch.workers import resolve_worker_count
 from repro.core.resilience.signals import terminate_on_signals
+from repro.fleet.wal import durable_replace
 from repro.hlsim.gtcache import GT_SNAPSHOT
 from repro.experiments.harness import (
     TABLE1_METHODS,
@@ -179,23 +179,9 @@ def _load_snapshot(path: Path) -> Any:
 
 
 def _save_snapshot(path: Path, value: Any) -> None:
-    """Atomic, fsync'd pickle write (same discipline as the gt cache)."""
+    """Atomic, fsync'd pickle write (:func:`repro.fleet.wal.durable_replace`)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.stem, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(value, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    durable_replace(path, lambda out: pickle.dump(value, out))
 
 
 def run_jobs(

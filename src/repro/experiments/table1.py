@@ -5,12 +5,15 @@ Usage::
     python -m repro.experiments.table1 [--scale smoke|small|paper]
                                        [--benchmarks gemm,sort_radix,...]
                                        [--seed N] [--json out.json]
-                                       [--workers N] [--cache-dir DIR]
-                                       [--batch-size Q] [--eval-workers N]
-                                       [--journal-dir DIR] [--resume]
-                                       [--retry-max-attempts N]
-                                       [--retry-backoff-s S] [--no-degrade]
-                                       [--trace-dir DIR] [--trace-spans]
+                                       [--quiet] [RUN OPTIONS]
+
+The run options are the flag group every driver shares
+(:mod:`repro.experiments.options`): ``[--workers N] [--batch-size Q]
+[--async] [--inflight-target N] [--eval-workers N] [--cache-dir DIR]
+[--journal-dir DIR] [--resume] [--retry-max-attempts N]
+[--retry-backoff-s S] [--no-degrade] [--trace-dir DIR]
+[--trace-spans]``.  A column with no finite value (the std-dev block
+at one repeat) averages to ``nan``.
 
 ``--workers N`` fans the (benchmark, method, repeat) cells out over a
 process pool (results are bitwise identical to the sequential run);
@@ -44,7 +47,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -55,10 +57,13 @@ from repro.experiments.harness import (
     TABLE1_METHODS,
     ExperimentScale,
     Table1Row,
-    run_benchmark,
-    summarize_benchmark,
+    run_table1,
 )
-from repro.benchsuite.registry import benchmark_names
+from repro.experiments.options import (
+    RunOptions,
+    add_run_options,
+    parse_run_options,
+)
 from repro.metrics.runtime import normalize_to
 
 SCALES: dict[str, ExperimentScale] = {
@@ -94,6 +99,14 @@ def normalized_rows(
     return output
 
 
+def _average(values: list[float]) -> float:
+    """Mean of the non-NaN values; NaN when there are none (a std-dev
+    column at one repeat), without ``np.nanmean``'s empty-slice warning."""
+    column = np.asarray(values, dtype=float)
+    column = column[~np.isnan(column)]
+    return float(column.mean()) if column.size else float("nan")
+
+
 def format_table(
     normalized: list[dict], methods: tuple[str, ...]
 ) -> str:
@@ -117,42 +130,10 @@ def format_table(
             lines.append("  " + f"{entry['benchmark']:<15}" + "".join(cells))
         lines.append(
             "  " + f"{'Average':<15}"
-            + "".join(f"{np.nanmean(averages[m]):>9.2f}" for m in methods)
+            + "".join(f"{_average(averages[m]):>9.2f}" for m in methods)
         )
         lines.append("")
     return "\n".join(lines)
-
-
-def apply_overrides(
-    scale: ExperimentScale,
-    batch_size: int = 1,
-    eval_workers: int = 1,
-    async_engine: bool = False,
-    inflight_target: int | None = None,
-    retry_max_attempts: int = 3,
-    retry_backoff_s: float = 0.0,
-    degrade_on_failure: bool = True,
-    trace_spans: bool = False,
-) -> ExperimentScale:
-    """Fold non-default batch/resilience/telemetry CLI knobs into a scale."""
-    overrides = {}
-    if batch_size != 1:
-        overrides["batch_size"] = batch_size
-    if eval_workers != 1:
-        overrides["eval_workers"] = eval_workers
-    if async_engine:
-        overrides["async_engine"] = True
-    if inflight_target is not None:
-        overrides["inflight_target"] = inflight_target
-    if retry_max_attempts != 3:
-        overrides["retry_max_attempts"] = retry_max_attempts
-    if retry_backoff_s != 0.0:
-        overrides["retry_backoff_s"] = retry_backoff_s
-    if not degrade_on_failure:
-        overrides["degrade_on_failure"] = False
-    if trace_spans:
-        overrides["trace_spans"] = True
-    return replace(scale, **overrides) if overrides else scale
 
 
 def run(
@@ -161,54 +142,19 @@ def run(
     methods: tuple[str, ...] = TABLE1_METHODS,
     base_seed: int = 2021,
     verbose: bool = True,
-    workers: int = 1,
-    cache_dir: str | None = None,
-    batch_size: int = 1,
-    eval_workers: int = 1,
-    async_engine: bool = False,
-    inflight_target: int | None = None,
-    journal_dir: str | None = None,
-    resume: bool = False,
-    retry_max_attempts: int = 3,
-    retry_backoff_s: float = 0.0,
-    degrade_on_failure: bool = True,
-    trace_dir: str | None = None,
-    trace_spans: bool = False,
+    options: RunOptions = RunOptions(),
 ) -> tuple[list[Table1Row], list[dict]]:
     """Run the full Table I experiment and return raw + normalized rows."""
-    scale = apply_overrides(
-        SCALES[scale_name], batch_size=batch_size, eval_workers=eval_workers,
-        async_engine=async_engine, inflight_target=inflight_target,
-        retry_max_attempts=retry_max_attempts,
-        retry_backoff_s=retry_backoff_s,
-        degrade_on_failure=degrade_on_failure,
-        trace_spans=trace_spans,
+    rows = run_table1(
+        benchmarks, methods=methods, scale=options.apply(SCALES[scale_name]),
+        base_seed=base_seed, verbose=verbose, trace_dir=options.trace_dir,
+        workers=options.workers, cache_dir=options.cache_dir,
+        journal_dir=options.journal_dir, resume=options.resume,
     )
-    names = tuple(benchmarks) if benchmarks else tuple(benchmark_names())
-    if workers > 1:
-        from repro.experiments.parallel import run_table1_parallel
-
-        rows = run_table1_parallel(
-            benchmarks=names, methods=methods, scale=scale,
-            base_seed=base_seed, workers=workers, verbose=verbose,
-            trace_dir=trace_dir, cache_dir=cache_dir,
-            journal_dir=journal_dir, snapshot_dir=journal_dir, resume=resume,
-        )
-        return rows, normalized_rows(rows)
-    rows: list[Table1Row] = []
-    for name in names:
-        if verbose:
-            print(f"benchmark {name}:", flush=True)
-        runs = run_benchmark(
-            name, methods=methods, scale=scale, base_seed=base_seed,
-            verbose=verbose, trace_dir=trace_dir, cache_dir=cache_dir,
-            journal_dir=journal_dir, resume=resume,
-        )
-        rows.append(summarize_benchmark(name, runs))
     return rows, normalized_rows(rows)
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=sorted(SCALES), default="small")
     parser.add_argument("--benchmarks", default="",
@@ -216,44 +162,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument("--json", default="", help="write results as JSON")
     parser.add_argument("--quiet", action="store_true")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool size (1 = sequential)")
-    parser.add_argument("--batch-size", type=int, default=1,
-                        help="BO candidates proposed per round (qPEIPV)")
-    parser.add_argument("--eval-workers", type=int, default=1,
-                        help="in-run flow-evaluation workers per BO loop")
-    parser.add_argument("--async", dest="async_engine", action="store_true",
-                        help="commit-as-completed async BO pipeline with "
-                             "an adaptive in-flight target (bounded by "
-                             "--eval-workers)")
-    parser.add_argument("--inflight-target", type=int, default=None,
-                        help="pin the async pipeline's in-flight target "
-                             "(implies --async; 1 = bitwise-sequential)")
-    parser.add_argument("--cache-dir", default="",
-                        help="persistent ground-truth cache directory")
-    parser.add_argument("--journal-dir", default="",
-                        help="checkpoint BO runs (and snapshot cells) here")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from journals/snapshots in --journal-dir")
-    parser.add_argument("--retry-max-attempts", type=int, default=3,
-                        help="flow-crash retry budget per fidelity")
-    parser.add_argument("--retry-backoff-s", type=float, default=0.0,
-                        help="base backoff between retry attempts (seconds)")
-    parser.add_argument("--no-degrade", action="store_true",
-                        help="fail instead of degrading fidelity on "
-                             "retry exhaustion")
-    parser.add_argument("--trace-dir", default="",
-                        help="write per-cell JSONL traces here")
-    parser.add_argument("--trace-spans", action="store_true",
-                        help="record nested spans into the traces "
-                             "(requires --trace-dir; view with "
-                             "python -m repro.obs.spans)")
-    args = parser.parse_args(argv)
+    add_run_options(parser)
+    return parser
 
-    if args.resume and not args.journal_dir:
-        parser.error("--resume requires --journal-dir")
-    if args.trace_spans and not args.trace_dir:
-        parser.error("--trace-spans requires --trace-dir")
+
+def main(argv: list[str] | None = None) -> int:
+    args, options = parse_run_options(build_parser(), argv)
     benchmarks = (
         tuple(b for b in args.benchmarks.split(",") if b)
         if args.benchmarks
@@ -264,19 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         benchmarks=benchmarks,
         base_seed=args.seed,
         verbose=not args.quiet,
-        workers=args.workers,
-        cache_dir=args.cache_dir or None,
-        batch_size=args.batch_size,
-        eval_workers=args.eval_workers,
-        async_engine=args.async_engine,
-        inflight_target=args.inflight_target,
-        journal_dir=args.journal_dir or None,
-        resume=args.resume,
-        retry_max_attempts=args.retry_max_attempts,
-        retry_backoff_s=args.retry_backoff_s,
-        degrade_on_failure=not args.no_degrade,
-        trace_dir=args.trace_dir or None,
-        trace_spans=args.trace_spans,
+        options=options,
     )
     print(format_table(normalized, TABLE1_METHODS))
     if args.json:

@@ -1,30 +1,39 @@
-"""Write-ahead log for the fleet broker: fsync'd, torn-tail tolerant.
+"""Append-only JSONL logs: fsync'd appends, torn-tail tolerant reads.
 
-The broker's ``broker.fleet.jsonl`` is not just a dashboard feed — it
-is the broker's *only* durable state.  Every queue/lease/completion
-transition is appended as one JSON line (monotonic ``seq``, wall-clock
-``t``) and fsync'd before the HTTP response leaves, so a SIGKILL'd
-broker restarted with ``--state-dir`` replays the log and comes back
-with queues, leases (TTL clocks resumed against wall time) and
-completed results intact.
+Two logs in the reproduction share one durability contract, and this
+module is its only implementation:
 
-Crash semantics mirror :func:`repro.core.resilience.journal.
-read_journal`: each append is a single flushed+fsync'd write, so a
-crash can only tear the *final* line — :func:`scan_wal` silently drops
-a torn tail (that transition's HTTP response never left, so the caller
-retries it), while garbage before the last line means the file was
-damaged outside a normal crash and raises :class:`WalError`.
+- the broker's write-ahead log ``broker.fleet.jsonl`` (:class:`WalWriter`)
+  — the broker's *only* durable state.  Every queue/lease/completion
+  transition is appended as one JSON line (monotonic ``seq``,
+  wall-clock ``t``) and fsync'd before the HTTP response leaves, so a
+  SIGKILL'd broker restarted with ``--state-dir`` replays the log and
+  comes back with queues, leases and completed results intact;
+- the optimizer's run journal
+  (:class:`repro.core.resilience.journal.RunJournal`), one per BO cell.
+
+The contract:
+
+- **Append** (:class:`AppendLog`): each already-encoded line is one
+  write, flushed and fsync'd, so a crash can only tear the *final*
+  line.  Whole-file rewrites (WAL compaction, journal resume) go
+  through :func:`durable_replace` and never leave a mix.
+- **Read** (:func:`scan_wal`): an unterminated or unparseable final
+  line is a torn tail and is dropped — the record it carried was never
+  acknowledged, so dropping it restores the exact pre-write state.
+  Garbage *before* the last line means the file was damaged outside a
+  normal crash and raises :class:`WalError`.
+- **Tail** (:func:`tail_complete`): complete-line bytes past an
+  offset, for the fleet worker's journal streaming and the monitor.
 
 **Bounded growth.**  Recovery streams the file one line at a time
 (:func:`scan_wal` is a generator — memory is bounded by the live
 state, not the log length), and :meth:`WalWriter.rotate` atomically
 replaces the log with a compact snapshot while the ``seq`` numbering
-continues — the broker calls it when the log outgrows its compaction
-threshold, so payload-bearing records never accumulate without bound.
+continues.
 
 Stdlib-only on purpose: the broker imports nothing heavier than
-:mod:`repro.fleet.wire`, and the monitor tails the same file with its
-own parser (which already re-reads a file that shrinks under it).
+:mod:`repro.fleet.wire`, and the monitor tails logs through it.
 """
 
 from __future__ import annotations
@@ -33,30 +42,26 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 __all__ = [
+    "AppendLog",
     "WalError",
     "WalWriter",
     "durable_replace",
     "read_wal",
     "recover_wal",
     "scan_wal",
+    "tail_complete",
 ]
 
 
 class WalError(ValueError):
-    """The WAL cannot seed a rehydration (mid-file corruption)."""
+    """The log cannot seed a replay (mid-file corruption)."""
 
 
 def read_wal(path: str | Path) -> list[dict[str, Any]]:
-    """All parseable records; a torn trailing line is silently dropped.
-
-    A torn tail is the normal signature of a crash mid-append — the
-    transition it recorded never acknowledged, so dropping it restores
-    the exact pre-write state.  Corruption *before* the last line is an
-    error: single-writer fsync'd appends cannot produce it.
-    """
+    """All complete records; a torn trailing line is silently dropped."""
     return recover_wal(path)[0]
 
 
@@ -77,7 +82,7 @@ def scan_wal(path: str | Path) -> Iterator[tuple[dict[str, Any], int]]:
         for i, raw in enumerate(handle):
             if bad_line is not None:
                 raise WalError(
-                    f"{path}: corrupt WAL line {bad_line} (not last — the "
+                    f"{path}: corrupt line {bad_line} (not last — the "
                     "file was damaged outside a normal crash)"
                 )
             line = raw.strip()
@@ -101,13 +106,45 @@ def recover_wal(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     """``(records, valid_bytes)`` — the parseable prefix and its length.
 
     Convenience wrapper over :func:`scan_wal` for callers that want the
-    whole prefix at once (tests, tooling); the broker itself streams.
+    whole prefix at once; the broker itself streams.
     """
     records: list[dict[str, Any]] = []
     valid = 0
     for record, valid in scan_wal(path):
         records.append(record)
     return records, valid
+
+
+def tail_complete(
+    path: str | Path, offset: int = 0
+) -> tuple[bytes, bool, int]:
+    """``(data, reset, start)`` — new complete-line bytes past ``offset``.
+
+    A half-written final line stays unread until its newline lands, so
+    a reader never sees a record :func:`scan_wal` would drop as torn.
+    A file *smaller* than ``offset`` was rewritten (journal resume,
+    WAL compaction) — the caller must restart its stream, signalled by
+    ``reset=True`` and ``start == 0``.  A missing file yields no data.
+    ``start + len(data)`` is the next offset once the chunk is consumed.
+    """
+    path = Path(path)
+    try:
+        size = path.stat().st_size
+    except OSError:
+        return b"", False, offset
+    start = offset
+    reset = False
+    if size < start:
+        start = 0
+        reset = True
+    if size == start and not reset:
+        return b"", False, start
+    with path.open("rb") as handle:
+        handle.seek(start)
+        data = handle.read()
+    cut = data.rfind(b"\n")
+    data = data[: cut + 1] if cut >= 0 else b""
+    return data, reset, start
 
 
 def durable_replace(
@@ -122,9 +159,10 @@ def durable_replace(
     ``path``, and then the directory entry itself is fsync'd — without
     that last step a power cut can undo the rename.  A crash at any
     point leaves either the old file or the complete new one; a failed
-    write removes the temp file.  Shared by
-    :meth:`WalWriter.rotate` and the optimizer journal's resume
-    rewrite (:meth:`repro.core.resilience.journal.RunJournal.continue_from`).
+    write removes the temp file.  Every whole-file rewrite in the
+    package goes through here: log compaction and resume
+    (:meth:`AppendLog.replace`), cell snapshots and streamed journal
+    prefixes.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -146,51 +184,45 @@ def durable_replace(
         os.close(dir_fd)
 
 
-class WalWriter:
-    """Append-only JSONL writer: one fsync'd record per transition.
+class AppendLog:
+    """An append-only file of already-encoded lines, one fsync each.
 
-    ``start_seq`` continues a rehydrated log's sequence numbering so
-    ``seq`` stays strictly monotonic across broker restarts; ``bytes``
-    tracks the current file size so the broker can trigger compaction
-    without a ``stat`` per append.
+    Callers keep their own record encoding; this class only owns the
+    bytes on disk.  ``truncate=True`` starts the file empty.  ``bytes``
+    tracks the current file size (no ``stat`` per append).
 
-    ``observe_fsync`` (optional) is called with each append's fsync
-    duration in seconds — the broker feeds its durability-tax
-    histogram through it — and ``last_fsync_wall`` holds the wall time
-    of the most recent completed fsync (``None`` before the first),
-    surfaced by ``/healthz`` as ``last_wal_fsync_age_s``.
+    ``observe_fsync`` (optional) is called with each fsync's duration
+    in seconds, and ``last_fsync_wall`` holds the wall time of the most
+    recent completed fsync (``None`` before the first).
     """
 
     def __init__(
         self,
         path: str | Path,
-        start_seq: int = 0,
-        observe_fsync=None,
+        truncate: bool = False,
+        observe_fsync: Callable[[float], None] | None = None,
     ):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle: IO[bytes] | None = self.path.open("ab")
-        self.seq = int(start_seq)
+        self._handle: IO[bytes] | None = self.path.open(
+            "wb" if truncate else "ab"
+        )
         self.bytes = self.path.stat().st_size
         self.observe_fsync = observe_fsync
         self.last_fsync_wall: float | None = None
 
-    def _encode(self, record: dict[str, Any]) -> bytes:
-        line = json.dumps({"seq": self.seq, **record}, sort_keys=False)
-        self.seq += 1
-        return line.encode("utf-8") + b"\n"
-
-    def append(self, record: dict[str, Any]) -> int:
-        """Write one record (``seq`` assigned here); returns its seq."""
+    def _open_handle(self) -> IO[bytes]:
         if self._handle is None:
-            raise RuntimeError(f"WAL {self.path} is closed")
-        seq = self.seq
-        data = self._encode(record)
-        self._handle.write(data)
-        self._handle.flush()
-        self._fsync(self._handle)
+            raise RuntimeError(f"log {self.path} is closed")
+        return self._handle
+
+    def append_line(self, data: bytes) -> None:
+        """Write, flush and fsync one newline-terminated line."""
+        handle = self._open_handle()
+        handle.write(data)
+        handle.flush()
+        self._fsync(handle)
         self.bytes += len(data)
-        return seq
 
     def _fsync(self, handle: IO[bytes]) -> None:
         start = time.perf_counter()
@@ -199,36 +231,70 @@ class WalWriter:
         if self.observe_fsync is not None:
             self.observe_fsync(time.perf_counter() - start)
 
-    def rotate(self, records: list[dict[str, Any]]) -> None:
-        """Atomically replace the log with ``records`` (compaction).
-
-        The replacement goes through :func:`durable_replace`, so a
-        crash at any point leaves either the old log or the complete
-        new one — never a mix.  ``seq`` keeps counting: the snapshot's
-        records take the next numbers, and later appends follow them.
-        """
-        if self._handle is None:
-            raise RuntimeError(f"WAL {self.path} is closed")
+    def replace(self, lines: Iterable[bytes]) -> None:
+        """Atomically rewrite the whole file as ``lines``, then keep
+        appending after them (through :func:`durable_replace`)."""
+        handle = self._open_handle()
 
         def write(out: IO[bytes]) -> None:
-            for record in records:
-                out.write(self._encode(record))
+            for line in lines:
+                out.write(line)
 
         durable_replace(self.path, write, fsync=self._fsync)
-        self._handle.close()
+        handle.close()
         self._handle = self.path.open("ab")
         self.bytes = self.path.stat().st_size
 
     def close(self) -> None:
-        """Flush, fsync and close — the graceful-shutdown tail sync."""
+        """Flush, fsync and close (idempotent)."""
         if self._handle is not None:
             self._handle.flush()
             self._fsync(self._handle)
             self._handle.close()
             self._handle = None
 
-    def __enter__(self) -> "WalWriter":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class WalWriter(AppendLog):
+    """The broker's WAL: one fsync'd ``seq``-first record per transition.
+
+    ``start_seq`` continues a rehydrated log's sequence numbering so
+    ``seq`` stays strictly monotonic across broker restarts.  The
+    broker feeds its durability-tax histogram through
+    ``observe_fsync`` and reports ``last_fsync_wall`` on ``/healthz``.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        start_seq: int = 0,
+        observe_fsync: Callable[[float], None] | None = None,
+    ):
+        super().__init__(path, observe_fsync=observe_fsync)
+        self.seq = int(start_seq)
+
+    def _encode(self, record: dict[str, Any]) -> bytes:
+        line = json.dumps({"seq": self.seq, **record}, sort_keys=False)
+        self.seq += 1
+        return line.encode("utf-8") + b"\n"
+
+    def append(self, record: dict[str, Any]) -> int:
+        """Write one record (``seq`` assigned here); returns its seq."""
+        self._open_handle()
+        seq = self.seq
+        self.append_line(self._encode(record))
+        return seq
+
+    def rotate(self, records: list[dict[str, Any]]) -> None:
+        """Atomically replace the log with ``records`` (compaction).
+
+        A crash at any point leaves either the old log or the complete
+        new one — never a mix.  ``seq`` keeps counting: the snapshot's
+        records take the next numbers, and later appends follow them.
+        """
+        self.replace(self._encode(record) for record in records)

@@ -80,6 +80,7 @@ import traceback
 from pathlib import Path
 
 from repro.fleet.client import RETRIABLE, BrokerClient
+from repro.fleet.wal import durable_replace, tail_complete
 from repro.fleet.wire import check_wire_schema, dump, load, load_auth_key
 from repro.obs.front import FrontTracker
 from repro.obs.prom import counter, gauge, render_metrics
@@ -103,8 +104,6 @@ class _JournalStream:
 
     def pending(self) -> tuple[bytes, bool, int]:
         """``(data, reset, start_offset)`` of unsent complete lines."""
-        from repro.core.resilience.journal import tail_complete
-
         return tail_complete(self.path, self.offset)
 
 
@@ -234,7 +233,7 @@ class FleetWorker:
                 journal_path.stat().st_size if journal_path.exists() else 0
             )
             if streamed and len(streamed) > local:
-                journal_path.write_bytes(streamed)
+                durable_replace(journal_path, lambda out: out.write(streamed))
             if journal_path.exists() and journal_path.stat().st_size:
                 kwargs["resume"] = True
         message["job"] = dataclasses.replace(job, kwargs=kwargs)

@@ -40,11 +40,12 @@ for *newly appended* lines and redraws in place:
 The monitor deliberately imports **nothing from the hot path** — only
 the standard library and its stdlib-only :mod:`repro.obs` siblings
 (:mod:`~repro.obs.front`, :mod:`~repro.obs.slo`,
-:mod:`~repro.obs.prom`), never :mod:`repro.obs.trace` or anything
-that pulls in numpy/scipy.  It re-parses raw JSONL itself (torn
-trailing lines of a live file are expected and skipped, and a journal
-rewritten by a resume is detected by shrinkage and re-read from the
-top), so it can run on any machine that sees the files, with zero
+:mod:`~repro.obs.prom`) plus the stdlib-only log module
+:mod:`repro.fleet.wal`, never :mod:`repro.obs.trace` or anything
+that pulls in numpy/scipy.  It tails raw JSONL through the shared
+complete-line tail (torn trailing lines of a live file stay unread,
+and a journal rewritten by a resume is detected by shrinkage and
+re-read from the top), so it can run on any machine that sees the files, with zero
 risk of importing numpy/scipy into a login shell.
 """
 
@@ -58,6 +59,7 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
+from repro.fleet.wal import tail_complete
 from repro.obs.front import (
     hypervolume,
     pareto_front,
@@ -89,9 +91,9 @@ __all__ = [
 class TraceTail:
     """Tail one JSONL file, yielding newly appended complete records.
 
-    Keeps a byte offset; a shrinking file (journal rewritten by a
-    resume) resets the offset to zero so the new contents are re-read.
-    A trailing partial line (live writer mid-append) stays unread until
+    Reads through :func:`repro.fleet.wal.tail_complete`: a shrinking
+    file (journal rewritten by a resume) restarts from zero, and a
+    trailing partial line (live writer mid-append) stays unread until
     its newline arrives.
     """
 
@@ -100,29 +102,16 @@ class TraceTail:
         self.offset = 0
 
     def read_new(self) -> list[dict]:
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return []
-        if size < self.offset:
-            self.offset = 0  # rewritten (resume) — start over
-        if size == self.offset:
-            return []
-        with self.path.open("rb") as handle:
-            handle.seek(self.offset)
-            blob = handle.read(size - self.offset)
-        end = blob.rfind(b"\n")
-        if end < 0:
-            return []  # no complete line yet
-        self.offset += end + 1
+        data, _reset, start = tail_complete(self.path, self.offset)
+        self.offset = start + len(data)
         records = []
-        for line in blob[: end + 1].splitlines():
+        for line in data.splitlines():
             line = line.strip()
             if not line:
                 continue
             try:
                 records.append(json.loads(line))
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, UnicodeDecodeError):
                 continue  # torn or foreign line — a tail never crashes
         return records
 

@@ -1,4 +1,4 @@
-"""Tests for the parallel experiment engine, GT cache and restart pool."""
+"""Tests for the parallel experiment engine, GT cache and multi-start fits."""
 
 import os
 import subprocess
@@ -8,13 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import restarts as restarts_mod
-from repro.core.gp import GaussianProcess
-from repro.core.restarts import (
-    minimize_multistart,
-    resolve_workers,
-    shutdown_restart_pools,
-)
+from repro.core.restarts import minimize_multistart
 from repro.experiments.harness import (
     SMOKE_SCALE,
     BenchmarkContext,
@@ -239,65 +233,34 @@ class TestMethodSeedCrossProcess:
         assert output == repr(expected)
 
 
-class TestRestartPool:
-    def test_resolve_workers(self, monkeypatch):
-        assert resolve_workers(4) == 4
-        assert resolve_workers(0) == 1
-        monkeypatch.delenv("REPRO_RESTART_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-        monkeypatch.setenv("REPRO_RESTART_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("REPRO_RESTART_WORKERS", "junk")
-        assert resolve_workers(None) == 1
-
-    def test_parallel_restarts_match_sequential(self):
-        rng = np.random.default_rng(5)
-        X = rng.uniform(size=(25, 2))
-        y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + 0.05 * rng.normal(size=25)
-
-        seq = GaussianProcess(
-            n_restarts=3, rng=np.random.default_rng(9)
-        ).fit(X, y)
-        par = GaussianProcess(
-            n_restarts=3, rng=np.random.default_rng(9), restart_workers=2
-        ).fit(X, y)
-        assert np.array_equal(seq.theta, par.theta)
-
-    def test_unpicklable_objective_falls_back(self):
-        captured = []
-
-        def fun(theta, offset):  # closure: not picklable across processes
-            captured.append(1)
-            value = float(np.sum((theta - offset) ** 2))
-            return value, 2.0 * (theta - offset)
-
-        starts = [np.array([0.0]), np.array([3.0])]
+class TestMultistart:
+    def test_in_order_strict_winner_and_fallback(self):
+        bounds = [(-10.0, 10.0)]
         best = minimize_multistart(
-            fun, starts, args=(np.array([1.5]),),
-            bounds=[(-10.0, 10.0)], maxiter=50, workers=2,
+            _quad, [np.array([0.0]), np.array([4.0])],
+            args=(np.array([2.0]),), bounds=bounds, maxiter=50,
         )
-        assert np.allclose(best, [1.5], atol=1e-6)
-        assert captured  # objective actually ran in this process
+        assert np.allclose(best, [2.0], atol=1e-6)
 
-    def test_shared_pool_reused_across_calls(self):
-        shutdown_restart_pools()
-        starts = [np.array([0.0]), np.array([4.0])]
-        first = minimize_multistart(
-            _quad, starts, args=(np.array([2.0]),),
-            bounds=[(-10.0, 10.0)], maxiter=50, workers=2,
+        def flat(theta):  # every start ties: the first one must win
+            return 1.0, np.zeros_like(theta)
+
+        starts = [np.array([3.0]), np.array([-3.0])]
+        assert np.array_equal(
+            minimize_multistart(flat, starts, (), bounds, maxiter=5),
+            starts[0],
         )
-        pool = restarts_mod._SHARED_POOLS.get(2)
-        assert pool is not None
-        second = minimize_multistart(
-            _quad, starts, args=(np.array([-1.0]),),
-            bounds=[(-10.0, 10.0)], maxiter=50, workers=2,
+
+        def hopeless(theta):  # no finite objective: the fallback returns
+            return np.inf, np.zeros_like(theta)
+
+        assert np.array_equal(
+            minimize_multistart(
+                hopeless, starts, (), bounds, maxiter=5,
+                fallback=np.array([7.0]),
+            ),
+            [7.0],
         )
-        assert restarts_mod._SHARED_POOLS.get(2) is pool  # reused, not rebuilt
-        assert np.allclose(first, [2.0], atol=1e-6)
-        assert np.allclose(second, [-1.0], atol=1e-6)
-        shutdown_restart_pools()
-        assert restarts_mod._SHARED_POOLS == {}
-        shutdown_restart_pools()  # idempotent
 
 
 class TestGtcacheCli:
