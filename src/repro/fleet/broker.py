@@ -47,8 +47,12 @@ streamed journal segments all come back — then appends a ``restart``
 record and keeps serving the *same* task ids, so clients polling
 ``/result`` and workers holding leases reconnect transparently.
 Submissions carry client-generated task ids, making a retried
-``/submit`` (response lost in the crash) idempotent.  The monitor
-tails the same file; extra WAL-only fields are ignored by its parser.
+``/submit`` (response lost in the crash) idempotent.  Each transition
+(enqueue, lease, renew, expire, complete) is one private method that
+the live request path and WAL replay both call — replay only decodes
+records and skips malformed ones — so a rehydrated broker holds
+exactly the state the live one had.  The monitor tails the same file;
+extra WAL-only fields are ignored by its parser.
 Rehydration is *only* performed with ``--state-dir`` — a plain
 ``--log-dir`` journal is written, never read back, so a leftover log
 from an earlier run (or an older record format) can neither crash
@@ -77,11 +81,10 @@ bytes, no task payload access) so probes and scrapers work without
 holding the fleet key.
 
 **Observability** (DESIGN.md Sec. 15).  ``/metrics`` serves Prometheus
-text — request counters and latency histograms per endpoint, queue
-depth / in-flight / oldest-queued-age gauges, lease-to-complete and
-WAL-fsync histograms — fed by the thread-safe
-:class:`repro.obs.timing.Metrics` registry and
-:class:`repro.obs.prom.Histogram`.  ``/best`` serves the fleet-wide
+text — latency histograms per endpoint (whose counts are also the
+request counters), queue depth / in-flight / oldest-queued-age gauges,
+lease-to-complete and WAL-fsync histograms — all thread-safe
+:class:`repro.obs.prom.Histogram` instances.  ``/best`` serves the fleet-wide
 best-so-far nondominated front per session queue, folded from the
 front summaries workers attach to segment heartbeats.  An optional
 ``--trace-file`` records request spans (``broker.submit`` /
@@ -111,7 +114,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.fleet.wal import WalWriter, scan_wal
+from repro.fleet.wal import WalWriter, iter_records, scan_wal
 from repro.fleet.wire import (
     AUTH_FRESHNESS_S,
     AUTH_HEADER,
@@ -133,7 +136,6 @@ from repro.obs.prom import (
     histogram_family,
     render_metrics,
 )
-from repro.obs.timing import Metrics
 
 __all__ = [
     "FleetBroker",
@@ -157,27 +159,12 @@ DONE = "done"
 DEFAULT_COMPACT_BYTES = 8 * 1024 * 1024
 
 
-def _count_commits(data: bytes) -> int:
-    """Commit records in a chunk of streamed journal lines.
-
-    Segments are whole journal lines by construction (the worker ships
-    only newline-terminated lines and the broker deduplicates on line
-    boundaries), so each line parses independently; only a top-level
-    ``"event": "commit"`` counts — a traceback or error string that
-    merely *quotes* a commit record does not.
-    """
-    count = 0
-    for line in data.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(record, dict) and record.get("event") == "commit":
-            count += 1
-    return count
+#: The durable counters, in snapshot-record order: persisted by
+#: compaction snapshots and rebuilt by WAL replay.
+DURABLE_COUNTERS = (
+    "duplicates", "expiries", "restarts", "auth_rejects", "reconnects",
+    "resume_grants", "submits", "leases", "completions", "heartbeats",
+)
 
 
 @dataclass
@@ -266,23 +253,14 @@ class FleetBroker:
         self._streams: dict[str, _Stream] = {}  # task_id -> journal prefix
         self._seq = 0
         self._tick = 0
-        self.duplicates = 0
-        self.expiries = 0
-        self.restarts = 0
-        self.auth_rejects = 0
-        self.reconnects = 0
-        self.resume_grants = 0
-        self.submits = 0
-        self.leases = 0
-        self.completions = 0
-        self.heartbeats = 0
-        self.wal_records = 0
+        for name in DURABLE_COUNTERS:
+            setattr(self, name, 0)
+        self.wal_records = 0  # this process only
         self._started = self._clock()
-        # Telemetry plane: per-endpoint request counters/latency, the
+        # Telemetry plane: per-endpoint request latency, the
         # lease-to-complete and WAL-fsync histograms, and the
         # best-so-far aggregation workers feed via heartbeats.  All
         # read-side — dispatch and WAL contents never depend on them.
-        self.metrics = Metrics()
         self.request_latency: dict[str, Histogram] = {}
         self.lease_to_complete = Histogram(LEASE_BUCKETS_S)
         self.wal_fsync = Histogram(FSYNC_BUCKETS_S)
@@ -369,11 +347,12 @@ class FleetBroker:
     def _apply(self, record: dict) -> None:
         """Replay one WAL record into in-memory state (rehydration only).
 
-        The inverse of every ``_log`` call site: mutations without
-        re-logging.  Lease deadlines are recovered by translating the
-        persisted wall-clock expiry back onto the monotonic clock, so a
-        lease survives a broker outage shorter than its remaining TTL
-        and expires immediately after a longer one.
+        Decodes the record and calls the same transition method the
+        live request path called before logging it, without re-logging.
+        Lease deadlines are recovered by translating the persisted
+        wall-clock expiry back onto the monotonic clock, so a lease
+        survives a broker outage shorter than its remaining TTL and
+        expires at the next sweep after a longer one.
 
         Defensive by design: records from an older wire revision (or
         hand-damaged logs) may lack fields or reference unknown tasks —
@@ -381,27 +360,19 @@ class FleetBroker:
         crashing the restart.
         """
         event = record.get("event")
+        task = self._tasks.get(record.get("task", ""))
         if event == "queue":
             queue = record.get("queue")
             if queue:
                 self._ensure_queue(queue)
         elif event == "submit":
             queue, task_id = record.get("queue"), record.get("task")
-            if not queue or not task_id:
-                return
-            self._ensure_queue(queue)
-            task = Task(
-                task_id=task_id,
-                queue=queue,
-                payload=base64.b64decode(record.get("payload_b64", "")),
-                seq=self._seq,
-                trace=record.get("trace") or None,
-                submitted_wall=record.get("t"),
-            )
-            self._seq += 1
-            self.submits += 1
-            self._tasks[task.task_id] = task
-            self._queues[queue].append(task.task_id)
+            if queue and task_id:
+                self._enqueue(
+                    task_id, queue,
+                    base64.b64decode(record.get("payload_b64", "")),
+                    record.get("trace"), record.get("t"),
+                )
         elif event == "register":
             worker_id = record.get("worker")
             if worker_id:
@@ -410,73 +381,27 @@ class FleetBroker:
                     capabilities=dict(record.get("capabilities") or {}),
                 )
         elif event == "lease":
-            task = self._tasks.get(record.get("task", ""))
             lease_id = record.get("lease")
-            if task is None or not lease_id:
-                return
-            try:
-                self._queues[task.queue].remove(task.task_id)
-            except ValueError:
-                pass
-            task.state = LEASED
-            task.lease_id = lease_id
-            task.worker = record.get("worker")
-            task.attempts = int(record.get("attempt", task.attempts + 1))
-            task.deadline = self._replayed_deadline(record)
-            task.leased_wall = record.get("t", task.leased_wall)
-            self.leases += 1
-            self._leases[lease_id] = task.task_id
-            self._active[task.queue] += 1
-            self._served[task.queue] = self._tick
-            self._tick += 1
-            if task.worker in self._workers:
-                self._workers[task.worker].leases_taken += 1
+            if task is not None and lease_id:
+                self._grant(
+                    task, lease_id, record.get("worker"),
+                    int(record.get("attempt", task.attempts + 1)),
+                    self._replayed_deadline(record),
+                    record.get("t", task.leased_wall),
+                )
         elif event == "renew":
-            self.heartbeats += 1
-            task = self._tasks.get(record.get("task", ""))
             if task is not None and task.state == LEASED:
-                task.deadline = self._replayed_deadline(record)
+                self._renew(task, self._replayed_deadline(record))
         elif event == "expire":
-            task = self._tasks.get(record.get("task", ""))
             if task is not None and task.state == LEASED:
-                self._leases.pop(task.lease_id, None)
-                self._active[task.queue] -= 1
-                self.expiries += 1
-                task.expiries += 1
-                if task.worker in self._workers:
-                    self._workers[task.worker].expired += 1
-                task.state = QUEUED
-                task.lease_id = None
-                task.worker = None
-                task.deadline = None
-                self._queues[task.queue].appendleft(task.task_id)
+                self._expire(task)
         elif event == "complete":
-            if record.get("status") != "accepted":
-                self.duplicates += 1
-                return
-            task = self._tasks.get(record.get("task", ""))
-            if task is None:
-                return
-            if task.state == LEASED and task.lease_id is not None:
-                self._leases.pop(task.lease_id, None)
-                self._active[task.queue] -= 1
-            elif task.state == QUEUED:
-                try:
-                    self._queues[task.queue].remove(task.task_id)
-                except ValueError:
-                    pass
-            task.state = DONE
-            task.result = base64.b64decode(record.get("result_b64", ""))
-            task.completed_by = record.get("worker", "")
-            task.exec_s = float(record.get("exec_s", 0.0))
-            task.lease_id = None
-            task.deadline = None
-            self.completions += 1
-            worker = record.get("worker", "")
-            if worker in self._workers:
-                self._workers[worker].completed += 1
-                self._workers[worker].busy_s += task.exec_s
-            self._streams.pop(task.task_id, None)
+            if task is not None:
+                self._complete(
+                    task, base64.b64decode(record.get("result_b64", "")),
+                    record.get("worker", ""),
+                    float(record.get("exec_s", 0.0)),
+                )
         elif event == "segment":
             task_id, lease_id = record.get("task"), record.get("lease")
             if not task_id or not lease_id:
@@ -505,9 +430,7 @@ class FleetBroker:
         expires_wall = record.get("expires_wall")
         if expires_wall is None:
             return self._clock() + self.lease_ttl_s
-        return self._clock() + max(
-            0.0, float(expires_wall) - self._wallclock()
-        )
+        return self._clock() + (float(expires_wall) - self._wallclock())
 
     # ------------------------------------------------------------------
     # snapshot compaction
@@ -559,18 +482,7 @@ class FleetBroker:
                 }
                 for tid, s in self._streams.items()
             },
-            "counters": {
-                "duplicates": self.duplicates,
-                "expiries": self.expiries,
-                "restarts": self.restarts,
-                "auth_rejects": self.auth_rejects,
-                "reconnects": self.reconnects,
-                "resume_grants": self.resume_grants,
-                "submits": self.submits,
-                "leases": self.leases,
-                "completions": self.completions,
-                "heartbeats": self.heartbeats,
-            },
+            "counters": self._counters(),
         }
 
     def _apply_snapshot(self, record: dict) -> None:
@@ -633,12 +545,11 @@ class FleetBroker:
                 commits=int(s.get("commits", 0)),
             )
         for name, value in (record.get("counters") or {}).items():
-            if name in (
-                "duplicates", "expiries", "restarts",
-                "auth_rejects", "reconnects", "resume_grants",
-                "submits", "leases", "completions", "heartbeats",
-            ):
+            if name in DURABLE_COUNTERS:
                 setattr(self, name, int(value))
+
+    def _counters(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in DURABLE_COUNTERS}
 
     def _ensure_queue(self, queue: str) -> None:
         if queue not in self._queues:
@@ -675,45 +586,128 @@ class FleetBroker:
         new = data[have - offset:]
         if new:
             stream.data += new
-            stream.commits += _count_commits(new)
+            # Segments are whole journal lines (the worker ships only
+            # newline-terminated lines), so each line parses on its
+            # own; only a top-level ``"event": "commit"`` counts — an
+            # error string that merely quotes a commit record does not.
+            stream.commits += sum(
+                record.get("event") == "commit"
+                for record in iter_records(new)
+            )
         return stream
 
     # ------------------------------------------------------------------
-    # lease expiry
+    # transitions (lock held): the live entry points call these, then
+    # log; WAL replay calls them with the decoded record's values
     # ------------------------------------------------------------------
 
-    def _expire_leases(self, now: float) -> None:
-        """Re-queue every leased task whose deadline passed (lock held).
+    def _enqueue(
+        self, task_id: str, queue: str, payload: bytes,
+        trace: str | None, submitted_wall: float | None,
+    ) -> None:
+        """``submit``: a new task joins the back of its queue."""
+        self._ensure_queue(queue)
+        self._tasks[task_id] = Task(
+            task_id=task_id, queue=queue, payload=payload, seq=self._seq,
+            trace=trace or None, submitted_wall=submitted_wall,
+        )
+        self._seq += 1
+        self.submits += 1
+        self._queues[queue].append(task_id)
 
-        Expired tasks go to the *front* of their queue so a re-issued
-        cell does not wait behind the whole backlog it already waited
-        through once.  The task's stream buffer is kept: it is exactly
-        the journal prefix the replacement worker resumes from.
-        """
+    def _grant(
+        self, task: Task, lease_id: str, worker_id: str | None,
+        attempt: int, deadline: float, leased_wall: float | None,
+    ) -> None:
+        """``lease``: the task leaves its queue, held until ``deadline``."""
+        try:
+            self._queues[task.queue].remove(task.task_id)
+        except ValueError:
+            pass
+        task.state = LEASED
+        task.lease_id = lease_id
+        task.worker = worker_id
+        task.attempts = attempt
+        task.deadline = deadline
+        task.leased_wall = leased_wall
+        self.leases += 1
+        self._leases[lease_id] = task.task_id
+        self._active[task.queue] += 1
+        self._served[task.queue] = self._tick
+        self._tick += 1
+        if worker_id in self._workers:
+            self._workers[worker_id].leases_taken += 1
+
+    def _renew(self, task: Task, deadline: float) -> None:
+        """``renew``: a heartbeat pushes the lease deadline out."""
+        task.deadline = deadline
+        self.heartbeats += 1
+
+    def _expire(self, task: Task) -> None:
+        """``expire``: the lease is dropped and the task re-queued at
+        the *front* of its queue, so a re-issued cell does not wait
+        behind the whole backlog it already waited through once.  The
+        task's stream buffer is kept: it is exactly the journal prefix
+        the replacement worker resumes from."""
+        self._leases.pop(task.lease_id, None)
+        self._active[task.queue] -= 1
+        self.expiries += 1
+        task.expiries += 1
+        if task.worker in self._workers:
+            self._workers[task.worker].expired += 1
+        task.state = QUEUED
+        task.lease_id = None
+        task.worker = None
+        task.deadline = None
+        self._queues[task.queue].appendleft(task.task_id)
+
+    def _complete(
+        self, task: Task, result: bytes, worker: str, exec_s: float
+    ) -> str:
+        """``complete``: first writer wins — ``"accepted"`` records the
+        outcome, a finished task counts a ``"duplicate"``."""
+        if task.state == DONE:
+            self.duplicates += 1
+            return "duplicate"
+        if task.state == LEASED and task.lease_id is not None:
+            self._leases.pop(task.lease_id, None)
+            self._active[task.queue] -= 1
+        elif task.state == QUEUED:
+            # Stale leaseholder finished after expiry but before the
+            # re-issue was granted: accept the bytes, drop the queue
+            # entry so the task is never re-leased.
+            try:
+                self._queues[task.queue].remove(task.task_id)
+            except ValueError:
+                pass
+        task.state = DONE
+        task.result = result
+        task.completed_by = worker
+        task.exec_s = float(exec_s)
+        task.lease_id = None
+        task.deadline = None
+        self.completions += 1
+        if worker in self._workers:
+            self._workers[worker].completed += 1
+            self._workers[worker].busy_s += task.exec_s
+        self._streams.pop(task.task_id, None)
+        return "accepted"
+
+    def _expire_leases(self, now: float) -> None:
+        """Expire (and log) every lease whose deadline passed."""
         for lease_id in [
             lid
             for lid, tid in self._leases.items()
             if self._tasks[tid].deadline is not None
             and self._tasks[tid].deadline < now
         ]:
-            task = self._tasks[self._leases.pop(lease_id)]
-            self.expiries += 1
-            task.expiries += 1
-            self._active[task.queue] -= 1
-            if task.worker in self._workers:
-                self._workers[task.worker].expired += 1
+            task = self._tasks[self._leases[lease_id]]
+            worker = task.worker
+            self._expire(task)
             self._log(
-                "expire",
-                queue=task.queue,
-                task=task.task_id,
-                worker=task.worker,
-                attempts=task.attempts,
+                "expire", queue=task.queue, task=task.task_id,
+                worker=worker, attempts=task.attempts,
             )
-            task.state = QUEUED
-            task.lease_id = None
-            task.worker = None
-            task.deadline = None
-            self._queues[task.queue].appendleft(task.task_id)
 
     # ------------------------------------------------------------------
     # public API (each entry point sweeps expired leases first)
@@ -776,15 +770,7 @@ class FleetBroker:
             if queue not in self._queues:
                 self._ensure_queue(queue)
                 self._log("queue", queue=queue)
-            task = Task(
-                task_id=task_id, queue=queue, payload=payload, seq=self._seq,
-                trace=trace or None,
-                submitted_wall=self._wallclock(),
-            )
-            self._seq += 1
-            self.submits += 1
-            self._tasks[task_id] = task
-            self._queues[queue].append(task_id)
+            self._enqueue(task_id, queue, payload, trace, self._wallclock())
             self._log(
                 "submit", queue=queue, task=task_id,
                 payload_b64=base64.b64encode(payload).decode(),
@@ -825,21 +811,12 @@ class FleetBroker:
             queue = self._pick_queue(set(queues) if queues else None)
             if queue is None:
                 return None
-            task = self._tasks[self._queues[queue].popleft()]
+            task = self._tasks[self._queues[queue][0]]
             lease_id = uuid.uuid4().hex
-            task.state = LEASED
-            task.lease_id = lease_id
-            task.worker = worker_id
-            task.deadline = now + self.lease_ttl_s
-            task.attempts += 1
-            task.leased_wall = self._wallclock()
-            self.leases += 1
-            self._leases[lease_id] = task.task_id
-            self._active[queue] += 1
-            self._served[queue] = self._tick
-            self._tick += 1
-            if worker_id in self._workers:
-                self._workers[worker_id].leases_taken += 1
+            self._grant(
+                task, lease_id, worker_id, task.attempts + 1,
+                now + self.lease_ttl_s, self._wallclock(),
+            )
             self._log(
                 "lease", queue=queue, task=task.task_id, worker=worker_id,
                 attempt=task.attempts, lease=lease_id,
@@ -891,8 +868,7 @@ class FleetBroker:
             if task_id is None:
                 return False
             task = self._tasks[task_id]
-            task.deadline = now + self.lease_ttl_s
-            self.heartbeats += 1
+            self._renew(task, now + self.lease_ttl_s)
             self._log(
                 "renew", queue=task.queue, task=task_id, worker=task.worker,
                 expires_wall=self._wallclock() + self.lease_ttl_s,
@@ -961,12 +937,6 @@ class FleetBroker:
                 outage_s=float(outage_s),
             )
 
-    def auth_reject(self, path: str) -> None:
-        """Record one rejected request (bad or missing HMAC)."""
-        with self._lock:
-            self.auth_rejects += 1
-            self._log("auth_reject", path=path)
-
     def check_auth(
         self, method: str, path: str, body: bytes, header: str | None
     ) -> bool:
@@ -1009,44 +979,20 @@ class FleetBroker:
         with self._lock:
             self._expire_leases(now)
             task = self._tasks[task_id]
-            if task.state == DONE:
-                self.duplicates += 1
-                self._log(
-                    "complete", queue=task.queue, task=task_id,
-                    worker=worker, status="duplicate", exec_s=exec_s,
-                )
-                return "duplicate"
-            if task.state == LEASED and task.lease_id is not None:
-                self._leases.pop(task.lease_id, None)
-                self._active[task.queue] -= 1
-            elif task.state == QUEUED:
-                # Stale leaseholder finished after expiry but before the
-                # re-issue was granted: accept the bytes, drop the
-                # queue entry so the task is never re-leased.
-                try:
-                    self._queues[task.queue].remove(task_id)
-                except ValueError:
-                    pass
-            task.state = DONE
-            task.result = payload
-            task.completed_by = worker
-            task.exec_s = float(exec_s)
-            task.lease_id = None
-            task.deadline = None
-            self.completions += 1
-            if task.leased_wall is not None:
-                self.lease_to_complete.observe(
-                    max(0.0, self._wallclock() - task.leased_wall)
-                )
-            if worker in self._workers:
-                self._workers[worker].completed += 1
-                self._workers[worker].busy_s += float(exec_s)
-            self._streams.pop(task_id, None)
+            status = self._complete(task, payload, worker, exec_s)
+            result = {}
+            if status == "accepted":
+                if task.leased_wall is not None:
+                    self.lease_to_complete.observe(
+                        max(0.0, self._wallclock() - task.leased_wall)
+                    )
+                result["result_b64"] = base64.b64encode(payload).decode()
             self._log(
                 "complete", queue=task.queue, task=task_id, worker=worker,
-                status="accepted", exec_s=exec_s,
-                result_b64=base64.b64encode(payload).decode(),
+                status=status, exec_s=exec_s, **result,
             )
+            if status == "duplicate":
+                return status
             trace = task.trace
             queue = task.queue
         with self._request_span(
@@ -1090,8 +1036,8 @@ class FleetBroker:
         }
 
     def observe_request(self, endpoint: str, dur_s: float) -> None:
-        """Count one HTTP request and its latency (handler-timed)."""
-        self.metrics.incr(f"http.{endpoint}")
+        """Record one HTTP request's latency (handler-timed); the
+        histogram's count is the endpoint's request counter."""
         hist = self.request_latency.get(endpoint)
         if hist is None:
             with self._lock:
@@ -1149,25 +1095,12 @@ class FleetBroker:
                 ({"queue": q}, summary.get("n", 0))
                 for q, summary in sorted(self._queue_best.items())
             ]
-            counters = {
-                "submits": self.submits,
-                "leases": self.leases,
-                "completions": self.completions,
-                "heartbeats": self.heartbeats,
-                "expiries": self.expiries,
-                "duplicates": self.duplicates,
-                "auth_rejects": self.auth_rejects,
-                "reconnects": self.reconnects,
-                "restarts": self.restarts,
-                "resume_grants": self.resume_grants,
-                "wal_records": self.wal_records,
-            }
+            counters = {**self._counters(), "wal_records": self.wal_records}
             workers = len(self._workers)
             latency_items = sorted(self.request_latency.items())
         requests = [
-            ({"endpoint": key[len("http."):]}, value)
-            for key, value in sorted(self.metrics.snapshot().items())
-            if key.startswith("http.")
+            ({"endpoint": endpoint}, hist.snapshot()["count"])
+            for endpoint, hist in latency_items
         ]
         families = [
             counter("fleet_requests_total",
@@ -1272,16 +1205,11 @@ class FleetBroker:
                     }
                     for w in self._workers.values()
                 },
-                "expiries": self.expiries,
-                "duplicates": self.duplicates,
                 "tasks": len(self._tasks),
                 "done": sum(
                     1 for t in self._tasks.values() if t.state == DONE
                 ),
-                "restarts": self.restarts,
-                "auth_rejects": self.auth_rejects,
-                "reconnects": self.reconnects,
-                "resume_grants": self.resume_grants,
+                **self._counters(),
                 "wal_seq": self.wal_seq,
                 "streams": {
                     task_id: {

@@ -24,7 +24,9 @@ The contract:
   Garbage *before* the last line means the file was damaged outside a
   normal crash and raises :class:`WalError`.
 - **Tail** (:func:`tail_complete`): complete-line bytes past an
-  offset, for the fleet worker's journal streaming and the monitor.
+  offset, for the fleet worker's journal streaming and the monitor;
+  :func:`iter_records` parses such bytes leniently (anything that is
+  not one JSON object per line is skipped, never raised).
 
 **Bounded growth.**  Recovery streams the file one line at a time
 (:func:`scan_wal` is a generator — memory is bounded by the live
@@ -49,6 +51,7 @@ __all__ = [
     "WalError",
     "WalWriter",
     "durable_replace",
+    "iter_records",
     "read_wal",
     "recover_wal",
     "scan_wal",
@@ -145,6 +148,27 @@ def tail_complete(
     cut = data.rfind(b"\n")
     data = data[: cut + 1] if cut >= 0 else b""
     return data, reset, start
+
+
+def iter_records(data: bytes | str) -> Iterator[dict[str, Any]]:
+    """Yield the JSON objects of newline-separated ``data``, leniently.
+
+    The reader for logs another process writes (streamed journal
+    segments, the monitor's tails, scraped series): a line that is
+    blank, not UTF-8, unparseable (torn or foreign) or a JSON value
+    other than an object is skipped, so a reader never crashes on what
+    it reads.  Replay of the broker's own WAL uses :func:`scan_wal`,
+    which treats mid-file garbage as damage instead.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    for line in data.splitlines():
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError):  # UnicodeDecodeError too
+            continue
+        if isinstance(record, dict):
+            yield record
 
 
 def durable_replace(

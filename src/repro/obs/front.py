@@ -13,14 +13,16 @@ hypervolume reference point is the componentwise worst point seen plus
 tracker, not across trackers.
 
 Pure python, O(n^2) fronts: fine for the tens-to-hundreds of committed
-points a cell accumulates.  Imports only the standard library so the
-broker and monitor stay importable without numpy.
+points a cell accumulates.  Imports only the standard library (and the
+stdlib-only line parser in :mod:`repro.fleet.wal`) so the broker and
+monitor stay importable without numpy.
 """
 
 from __future__ import annotations
 
-import json
 import math
+
+from repro.fleet.wal import iter_records
 
 __all__ = [
     "FrontTracker",
@@ -138,7 +140,7 @@ def point_from_commit(record: dict) -> tuple[float, float, float] | None:
 class FrontTracker:
     """Fold journal lines into a running best-so-far front summary.
 
-    ``feed_line``/``feed_record`` accumulate valid commit points;
+    ``feed``/``feed_record`` accumulate valid commit points;
     :meth:`summary` returns a JSON-able
     ``{"n", "hv", "best": {power_w, delay_us, lut_util}, "points"}``
     snapshot — the payload workers attach to segment heartbeats and
@@ -161,30 +163,10 @@ class FrontTracker:
         self.points.append(point)
         return True
 
-    def feed_line(self, line: str | bytes) -> bool:
-        """Fold one raw JSONL line (torn/foreign lines are skipped)."""
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                return False
-        line = line.strip()
-        if not line:
-            return False
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return False
-        if not isinstance(record, dict):
-            return False
-        return self.feed_record(record)
-
     def feed(self, data: str | bytes) -> int:
-        """Fold a chunk of newline-separated lines; points added."""
-        added = 0
-        for line in data.splitlines():
-            added += bool(self.feed_line(line))
-        return added
+        """Fold a chunk of newline-separated journal lines (torn and
+        foreign lines are skipped); returns the points added."""
+        return sum(self.feed_record(record) for record in iter_records(data))
 
     def front(self) -> list[tuple[float, float, float]]:
         return pareto_front(self.points)

@@ -59,7 +59,7 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
-from repro.fleet.wal import tail_complete
+from repro.fleet.wal import iter_records, tail_complete
 from repro.obs.front import (
     hypervolume,
     pareto_front,
@@ -94,7 +94,8 @@ class TraceTail:
     Reads through :func:`repro.fleet.wal.tail_complete`: a shrinking
     file (journal rewritten by a resume) restarts from zero, and a
     trailing partial line (live writer mid-append) stays unread until
-    its newline arrives.
+    its newline arrives.  Lines that are not JSON objects are skipped
+    (:func:`repro.fleet.wal.iter_records`).
     """
 
     def __init__(self, path: Path):
@@ -104,16 +105,7 @@ class TraceTail:
     def read_new(self) -> list[dict]:
         data, _reset, start = tail_complete(self.path, self.offset)
         self.offset = start + len(data)
-        records = []
-        for line in data.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue  # torn or foreign line — a tail never crashes
-        return records
+        return list(iter_records(data))  # a tail never crashes
 
 
 def _float(value) -> float:

@@ -29,6 +29,7 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+from repro.fleet.wal import iter_records
 from repro.obs.prom import parse_metrics
 
 __all__ = ["scrape_once", "scrape_loop", "main"]
@@ -100,18 +101,11 @@ def read_series(
     series: dict[str, list[tuple[float, dict]]] = {}
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8", errors="replace")
+        data = path.read_bytes()
     except OSError:
         return series
-    for line in lines.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(record, dict) or not record.get("ok"):
+    for record in iter_records(data):
+        if not record.get("ok"):
             continue
         metrics = record.get("metrics")
         if not isinstance(metrics, dict):

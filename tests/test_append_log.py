@@ -5,6 +5,8 @@ and the complete-line tail that streams journals to the broker and
 feeds the monitor (``tail_complete``) must agree on every way a file
 can end: a crash mid-record, a record whose newline never landed, a
 tail torn inside a multi-byte character, and real mid-file damage.
+The lenient line parser those tails feed (``iter_records``) keeps
+every object and skips everything else, damage included.
 """
 
 import json
@@ -17,7 +19,7 @@ from repro.core.resilience.journal import (
     read_journal,
     tail_complete,
 )
-from repro.fleet.wal import WalError, recover_wal
+from repro.fleet.wal import WalError, iter_records, recover_wal
 
 HEADER = {"event": "header", "v": 3}
 COMMIT = {"event": "commit", "step": 0}
@@ -82,3 +84,18 @@ def test_run_journal_bytes_and_reopen(tmp_path):
         journal.write({"event": "resume"})
     assert read_journal(path) == [HEADER, {"event": "resume"}]
     assert not path.with_name(path.name + ".tmp").exists()
+
+
+def test_iter_records_keeps_objects_and_skips_the_rest():
+    """Blank, non-UTF-8, torn and non-object lines are skipped, from
+    bytes or text alike; the objects keep their order."""
+    blob = (
+        INTACT + b"\n   \n[1, 2]\n\"text\"\n42\nnull\nGARBAGE\n"
+        + b'{"event": "x", "note": "\xc3\x28"}\n'
+        + b"[" * 100_000 + b"\n"
+        + INTACT + b'{"event": "commit", "st'
+    )
+    assert list(iter_records(blob)) == [HEADER, COMMIT, HEADER, COMMIT]
+    text = INTACT.decode() + "[1, 2]\r\n" + INTACT.decode()
+    assert list(iter_records(text)) == [HEADER, COMMIT, HEADER, COMMIT]
+    assert list(iter_records(b"")) == list(iter_records("")) == []

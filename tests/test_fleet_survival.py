@@ -10,13 +10,15 @@ scheduler paths, health routes stay open), the hardened retry client
 (idempotent retries, fatal errors never retried, reconnect reporting),
 the deterministic :class:`FaultyTransport` chaos injector, mid-cell
 resume plumbing (`tail_complete` streaming, worker-side prefix fetch),
-and graceful broker shutdown (SIGTERM → drained, WAL'd, port file
-removed).
+graceful broker shutdown (SIGTERM → drained, WAL'd, port file
+removed), the WAL's on-disk bytes (a golden fixture) and the property
+that replaying the WAL rebuilds the live broker's state.
 """
 
 import base64
 import contextlib
 import http.client
+import itertools
 import json
 import os
 import signal
@@ -25,9 +27,12 @@ import sys
 import threading
 import time
 import urllib.parse
+import uuid
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.resilience.faults import FaultyTransport
 from repro.core.resilience.journal import tail_complete
@@ -1158,3 +1163,238 @@ class TestCommitCounting:
             grant["lease_id"], segment=COMMIT_LINE, offset=len(sneaky)
         )
         assert broker.journal("t1")[1] == 1
+
+
+# ----------------------------------------------------------------------
+# golden WAL bytes: the on-disk format is pinned
+# ----------------------------------------------------------------------
+
+GOLDEN_WAL = Path(__file__).parent / "data" / "broker_wal.golden.jsonl"
+
+
+def _golden_script(state_dir: Path, monkeypatch) -> FleetBroker:
+    """Drive every WAL-writing transition with fixed clocks and ids.
+
+    Covers queue/register/submit (auto id, implicit queue, idempotent
+    resubmit), lease, renew, segments (redelivery, reset), a ``best``
+    front fold, a crash and rehydration, expiries, resume grants,
+    accepted / duplicate / stale-after-expiry completions, reconnect,
+    auth reject and shutdown.  ``compact_bytes`` is tuned so exactly
+    one ``snapshot`` record is written.  Returns the closed broker.
+    """
+    ids = itertools.count(1)
+    monkeypatch.setattr(uuid, "uuid4", lambda: uuid.UUID(int=next(ids)))
+    clock, wall = _Clock(), _Clock()
+    wall.now = 1_000_000.0
+
+    def tick(dt):
+        clock.now += dt
+        wall.now += dt
+
+    def start():
+        return FleetBroker(
+            lease_ttl_s=5.0, state_dir=state_dir, clock=clock,
+            wallclock=wall, compact_bytes=2700, auth_key=KEY,
+        )
+
+    front = {"n": 1, "commits": 1, "points": [[1.5, 2.0, 0.25]]}
+    broker = start()
+    broker.create_queue("a")
+    broker.register("w0", {"cpus": 2})
+    broker.register("w1")
+    t1 = broker.submit("a", b"\x00\xffpayload-one", trace="00-trace-1")
+    broker.submit("b", b"payload-two", task_id="t2")
+    broker.submit("b", b"payload-two", task_id="t2")
+    broker.submit("a", b"payload-three", task_id="t3")
+    g1 = broker.lease("w0")
+    tick(1.0)
+    broker.heartbeat(g1["lease_id"], segment=COMMIT_LINE, offset=0,
+                     front=front)
+    broker.heartbeat(g1["lease_id"], segment=COMMIT_LINE, offset=0)
+    g2 = broker.lease("w1", ["b"])
+    broker.heartbeat(g2["lease_id"], segment=COMMIT_LINE * 2, offset=0)
+    tick(2.0)
+    broker.heartbeat(g1["lease_id"])
+    broker.close()  # crash: no shutdown record
+    tick(0.5)
+    broker = start()
+    tick(4.0)  # g2 expires; g1 was renewed and lives on
+    g3 = broker.lease("w0", ["b"])
+    broker.journal("t2", grant=True)
+    broker.heartbeat(g1["lease_id"], segment=b'{"entry": "header"}\n',
+                     reset=True, offset=0)
+    broker.complete(t1, b"result-one", lease_id=g1["lease_id"],
+                    worker="w0", exec_s=1.25)
+    broker.complete(t1, b"result-one", lease_id=g1["lease_id"],
+                    worker="w0", exec_s=1.25)
+    tick(6.0)  # g3 expires; its holder still finishes t2
+    broker.complete("t2", b"result-two", lease_id=g3["lease_id"],
+                    worker="w0", exec_s=0.5)
+    broker.lease("w1")
+    broker.reconnect("w1", 2, 1.5)
+    broker.check_auth("POST", "/submit?queue=a", b"", None)
+    broker.close(shutdown=True)
+    return broker
+
+
+class TestGoldenWal:
+    def test_wal_bytes_match_golden_fixture(self, tmp_path, monkeypatch):
+        _golden_script(tmp_path, monkeypatch)
+        written = (tmp_path / "broker.fleet.jsonl").read_bytes()
+        events = [json.loads(line)["event"] for line in written.splitlines()]
+        assert events.count("snapshot") == 1
+        assert written == GOLDEN_WAL.read_bytes()
+
+    def test_golden_fixture_rehydrates(self, tmp_path):
+        (tmp_path / "broker.fleet.jsonl").write_bytes(GOLDEN_WAL.read_bytes())
+        # Wall time of the fixture's last record: t3's lease is live.
+        broker = FleetBroker(
+            lease_ttl_s=5.0, state_dir=tmp_path, wallclock=lambda: 1_000_013.5
+        )
+        try:
+            stats = broker.stats()
+            assert stats["tasks"] == 3 and stats["done"] == 2
+            assert stats["restarts"] == 2
+            assert stats["expiries"] == 2 and stats["duplicates"] == 1
+            assert stats["resume_grants"] == 1
+            assert stats["reconnects"] == 1 and stats["auth_rejects"] == 1
+            assert stats["workers"]["w0"]["completed"] == 2
+            assert broker.result("t2") == ("done", b"result-two")
+            assert stats["queues"]["a"] == {
+                "queued": 0, "leased": 1, "done": 1, "submitted": 2,
+            }
+        finally:
+            broker.close()
+
+
+# ----------------------------------------------------------------------
+# live state == replayed state, for random operation sequences
+# ----------------------------------------------------------------------
+
+_WORKERS = st.sampled_from(["w0", "w1"])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("queue"), st.sampled_from(["a", "b"])),
+        st.tuples(
+            st.just("submit"), st.sampled_from(["a", "b"]),
+            st.sampled_from([None, "t0", "t1", "t2"]),
+        ),
+        st.tuples(st.just("register"), _WORKERS),
+        st.tuples(
+            st.just("lease"), _WORKERS,
+            st.sampled_from([None, ["a"], ["b"]]),
+        ),
+        st.tuples(
+            st.just("heartbeat"), st.integers(0, 7),
+            st.sampled_from([None, COMMIT_LINE, b'{"entry": "x"}\n']),
+            st.booleans(), st.sampled_from([None, 0, 31, 500]),
+        ),
+        st.tuples(
+            st.just("complete"), st.integers(0, 7), st.integers(0, 7),
+        ),
+        st.tuples(st.just("advance"), st.sampled_from([1.0, 3.0, 6.0])),
+        st.tuples(st.just("journal"), st.integers(0, 7)),
+    ),
+    max_size=40,
+)
+
+
+def _drive(broker: FleetBroker, clock: _Clock, wall: _Clock, ops) -> list:
+    """Apply one random operation sequence to a live broker; returns
+    the submitted task ids."""
+    tasks: list[str] = []
+    grants: list[dict] = []
+    for op in ops:
+        kind = op[0]
+        if kind == "queue":
+            broker.create_queue(op[1])
+        elif kind == "submit":
+            payload = f"payload-{len(tasks)}".encode()
+            tasks.append(broker.submit(op[1], payload, task_id=op[2]))
+        elif kind == "register":
+            broker.register(op[1], {"slot": len(tasks)})
+        elif kind == "lease":
+            grant = broker.lease(op[1], op[2])
+            if grant is not None:
+                grants.append({**grant, "worker": op[1]})
+        elif kind == "heartbeat" and grants:
+            _, pick, segment, reset, offset = op
+            broker.heartbeat(
+                grants[pick % len(grants)]["lease_id"],
+                segment=segment, reset=reset, offset=offset,
+            )
+        elif kind == "complete" and tasks:
+            _, pick, holder = op
+            grant = grants[holder % len(grants)] if grants else {}
+            broker.complete(
+                tasks[pick % len(tasks)], f"result-{pick}".encode(),
+                lease_id=grant.get("lease_id"),
+                worker=grant.get("worker", ""), exec_s=0.25 * pick,
+            )
+        elif kind == "advance":
+            clock.now += op[1]
+            wall.now += op[1]
+        elif kind == "journal" and tasks:
+            broker.journal(tasks[op[1] % len(tasks)], grant=True)
+    return tasks
+
+
+def _observed(broker: FleetBroker, tasks: list) -> dict:
+    """Everything a client can see, then the order of the next leases."""
+    stats = broker.stats()
+    del stats["restarts"], stats["wal_seq"]
+    task_ids = sorted(set(tasks))
+    seen = {
+        "stats": stats,
+        "results": {tid: broker.result(tid) for tid in task_ids},
+        "journals": {tid: broker.journal(tid) for tid in task_ids},
+        "leases": [],
+    }
+    while (grant := broker.lease("probe")) is not None:
+        del grant["lease_id"]
+        seen["leases"].append(grant)
+    return seen
+
+
+class TestLiveEqualsReplay:
+    @pytest.mark.parametrize("compact", [0, 1])
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(ops=_OPS)
+    # A lease overdue at restart expires at the next sweep, as it would
+    # have live.
+    @example(ops=[("submit", "a", None), ("lease", "w0", None),
+                  ("advance", 6.0)])
+    # With compaction, the expire record's snapshot holds the re-queued
+    # task, not a half-expired lease.
+    @example(ops=[("submit", "a", None), ("lease", "w0", None),
+                  ("advance", 6.0), ("lease", "w0", None)])
+    def test_rehydrated_broker_matches_live(self, tmp_path_factory, compact,
+                                            ops):
+        """Any operation sequence, replayed from the WAL (with or
+        without snapshot compaction), rebuilds the live broker's state:
+        same stats, results, streamed journals and lease order."""
+        root = tmp_path_factory.mktemp("replay")
+        clock, wall = _Clock(), _Clock()
+        wall.now = 1_000_000.0
+
+        def start(state_dir):
+            return FleetBroker(
+                lease_ttl_s=5.0, state_dir=state_dir, clock=clock,
+                wallclock=wall, compact_bytes=compact,
+            )
+
+        live = start(root / "live")
+        tasks = _drive(live, clock, wall, ops)
+        (root / "copy").mkdir()
+        (root / "copy" / "broker.fleet.jsonl").write_bytes(
+            (root / "live" / "broker.fleet.jsonl").read_bytes()
+        )
+        replayed = start(root / "copy")
+        try:
+            assert _observed(replayed, tasks) == _observed(live, tasks)
+        finally:
+            live.close()
+            replayed.close()

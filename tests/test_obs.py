@@ -1022,6 +1022,26 @@ class TestMonitor:
         assert cell.hypervolume() > 0.0
         assert "/14" in cell.progress and "[" in cell.progress
 
+    def test_refresh_skips_non_object_lines(self, tmp_path):
+        """A JSON line that is not an object (``[1, 2]``) in any tailed
+        file is skipped like a torn line — a tail never crashes."""
+        header = {
+            "event": "header", "kernel": "gemm", "method": "ours",
+            "seed": 0, "fingerprint": {"n_init": [2], "n_iter": 2},
+        }
+        commit = {"event": "commit", "phase": "init", "reports": []}
+        for name in ("cell.journal.jsonl", "broker.fleet.jsonl",
+                     "b.metrics.jsonl", "trace.jsonl"):
+            (tmp_path / name).write_text(
+                "[1, 2]\n" + json.dumps(header) + '\n"text"\n'
+                + json.dumps(commit) + "\n[1, 2]\n"
+            )
+        state = obs_monitor.SweepState()
+        state.refresh(tmp_path)
+        cell = state.cells["cell.journal.jsonl"]
+        assert cell.label == "gemm.ours seed 0" and cell.commits == 1
+        assert state.trace_events == 2
+
     def test_scan_files_kinds(self, tmp_path):
         (tmp_path / "a.jsonl").write_text("")
         (tmp_path / "b.journal.jsonl").write_text("")
