@@ -82,6 +82,19 @@ def test_hvi_batch(benchmark):
     benchmark(lambda: hvi_batch(samples, front, ref, boxes=boxes))
 
 
+def test_hvi_batch_acquisition_shape(benchmark):
+    """One acquisition step's ``hvi_batch`` call at the paper protocol:
+    256 candidates x 96 MC samples against a 10-point front (31 boxes),
+    inside the 6-40 boxes a sort_radix cell sees per step."""
+    rng = np.random.default_rng(6)
+    front = pareto_front(rng.uniform(size=(20, 3)))
+    ref = np.full(3, 1.3)
+    boxes = dominated_boxes(front, ref)
+    assert boxes.shape[0] == 31
+    samples = rng.uniform(0, 1.3, size=(256 * 96, 3))
+    benchmark(lambda: hvi_batch(samples, front, ref, boxes=boxes))
+
+
 def test_eipv_mc(benchmark):
     rng = np.random.default_rng(4)
     front = pareto_front(rng.uniform(size=(40, 3)))

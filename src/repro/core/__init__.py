@@ -29,7 +29,6 @@ from repro.core.pareto import (
     default_reference,
     dominated_boxes,
     dominates,
-    hvi,
     hvi_batch,
     hypervolume,
     pareto_front,
@@ -56,7 +55,6 @@ __all__ = [
     "ehvi_2d_independent",
     "eipv_mc",
     "expected_improvement",
-    "hvi",
     "hvi_batch",
     "hypervolume",
     "nondominated_cells_2d",

@@ -89,7 +89,7 @@ def hypervolume(front: np.ndarray, ref: np.ndarray) -> float:
 
     Points at or beyond ``ref`` in any coordinate contribute only their
     clipped part.  Dispatches on dimension: closed form for M=1/2, sweep
-    for M=3, recursive inclusion-exclusion beyond.
+    for M=3; like :func:`dominated_boxes`, higher M is not supported.
     """
     front = np.atleast_2d(np.asarray(front, dtype=float))
     ref = np.asarray(ref, dtype=float)
@@ -110,7 +110,7 @@ def hypervolume(front: np.ndarray, ref: np.ndarray) -> float:
         return _hv2d(front, ref)
     if m == 3:
         return _hv3d(front, ref)
-    return _hv_recursive(front, ref)
+    raise NotImplementedError("hypervolume supports up to 3 objectives")
 
 
 def _hv2d(front: np.ndarray, ref: np.ndarray) -> float:
@@ -173,24 +173,6 @@ def _hv3d(front: np.ndarray, ref: np.ndarray) -> float:
     return float(volume)
 
 
-def _hv_recursive(front: np.ndarray, ref: np.ndarray) -> float:
-    """General-M hypervolume via the HSO-style slicing recursion."""
-    if front.shape[1] == 3:
-        return _hv3d(front, ref)
-    order = np.argsort(front[:, -1])
-    pts = front[order]
-    boundaries = np.append(pts[:, -1], ref[-1])
-    volume = 0.0
-    for k in range(len(pts)):
-        dz = boundaries[k + 1] - boundaries[k]
-        if dz <= 0:
-            continue
-        active = pts[: k + 1, :-1]
-        keep = pareto_mask(active)
-        volume += hypervolume(active[keep], ref[:-1]) * dz
-    return float(volume)
-
-
 # ----------------------------------------------------------------------
 # disjoint box decomposition of the dominated region
 # ----------------------------------------------------------------------
@@ -224,10 +206,7 @@ def dominated_boxes(front: np.ndarray, ref: np.ndarray) -> np.ndarray:
         return _boxes2d(front, ref)
     if m == 3:
         return _boxes3d(front, ref)
-    raise NotImplementedError(
-        "dominated_boxes supports up to 3 objectives; use hypervolume() "
-        "sampling for higher dimensions"
-    )
+    raise NotImplementedError("dominated_boxes supports up to 3 objectives")
 
 
 def _boxes2d(front: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -273,14 +252,6 @@ def _boxes3d(front: np.ndarray, ref: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def hvi(y: np.ndarray, front: np.ndarray, ref: np.ndarray) -> float:
-    """Exact hypervolume improvement of adding ``y`` to ``front``."""
-    y = np.asarray(y, dtype=float)
-    base = hypervolume(front, ref)
-    grown = hypervolume(np.vstack([np.atleast_2d(front), y[None, :]]), ref)
-    return max(0.0, grown - base)
-
-
 def hvi_batch(
     samples: np.ndarray, front: np.ndarray, ref: np.ndarray,
     boxes: np.ndarray | None = None,
@@ -291,9 +262,13 @@ def hvi_batch(
 
         HVI(y) = vol(box[y, ref]) − vol(box[y, ref] ∩ dominated(front)),
 
-    with the dominated region pre-decomposed into disjoint boxes, so the
-    intersection volume is a single (n × n_boxes × M) numpy reduction.
-    Pass ``boxes`` to reuse a decomposition across calls within one
+    with the dominated region pre-decomposed into disjoint boxes.  The
+    intersection volumes are built one contiguous (n × n_boxes) plane
+    per objective — the clipped edge length along that axis — and
+    multiplied into one accumulator in objective order, so no
+    (n × n_boxes × M) array is ever materialized and the arithmetic is
+    element for element that of a product over the last axis.  Pass
+    ``boxes`` to reuse a decomposition across calls within one
     optimization step.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -304,15 +279,21 @@ def hvi_batch(
     own = _prod_last_axis(edge)
     if boxes.shape[0] == 0:
         return own
-    lows = boxes[:, 0, :]  # (B, M)
-    highs = boxes[:, 1, :]
-    # Intersection of [max(y, low), high] per box, clipped at ref already.
+    cols = np.ascontiguousarray(samples.T)  # (M, n)
+    lows = np.ascontiguousarray(boxes[:, 0, :].T)  # (M, B)
+    highs = np.ascontiguousarray(boxes[:, 1, :].T)
     # Intersection of each box [low, high] with the sample's own box
     # [y, ref]; box highs never exceed ref by construction.
-    lo = np.maximum(samples[:, None, :], lows[None, :, :])
-    ext = np.clip(highs[None, :, :] - lo, 0.0, None)
-    inter = _prod_last_axis(ext).sum(axis=1)
-    return np.maximum(own - inter, 0.0)
+    inter = np.empty((samples.shape[0], boxes.shape[0]))
+    plane = np.empty_like(inter)
+    for k in range(cols.shape[0]):
+        out = inter if k == 0 else plane
+        np.maximum(cols[k][:, None], lows[k][None, :], out=out)
+        np.subtract(highs[k][None, :], out, out=out)
+        np.clip(out, 0.0, None, out=out)
+        if k:
+            np.multiply(inter, plane, out=inter)
+    return np.maximum(own - inter.sum(axis=1), 0.0)
 
 
 def _prod_last_axis(a: np.ndarray) -> np.ndarray:

@@ -354,8 +354,8 @@ def _encode(record: dict[str, Any]) -> bytes:
 
 def read_journal(path: str | Path) -> list[dict[str, Any]]:
     """All complete records, by the shared torn-tail rule of
-    :func:`repro.fleet.wal.scan_wal`: an unterminated or unparseable
-    final line is dropped, garbage before it raises
+    :func:`repro.fleet.wal.scan_wal`: an unterminated final line, or one
+    that is not a JSON object, is dropped; garbage before it raises
     :class:`JournalError`."""
     try:
         return [record for record, _ in scan_wal(path)]

@@ -1277,6 +1277,7 @@ class _Handler(BaseHTTPRequestHandler):
         for key, value in extra.items():
             self.send_header(key.replace("_", "-"), str(value))
         self.end_headers()
+        self._observe()
         self.wfile.write(body)
 
     def _json(self, code: int, obj: dict, **extra) -> None:
@@ -1308,27 +1309,29 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+    def _observe(self) -> None:
+        """Record this request's latency once: from :meth:`_send` just
+        before the body goes out (so a client holding its answer never
+        scrapes a ``/metrics`` without it), else when the route raised."""
+        if self._start is not None:
+            self.broker.observe_request(
+                self.path.partition("?")[0], time.perf_counter() - self._start
+            )
+            self._start = None
+
+    def _route(self, handle) -> None:
         with self.server.track_inflight():  # type: ignore[attr-defined]
-            start = time.perf_counter()
+            self._start = time.perf_counter()
             try:
-                self._get()
+                handle()
             finally:
-                self.broker.observe_request(
-                    self.path.partition("?")[0],
-                    time.perf_counter() - start,
-                )
+                self._observe()
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        self._route(self._get)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        with self.server.track_inflight():  # type: ignore[attr-defined]
-            start = time.perf_counter()
-            try:
-                self._post()
-            finally:
-                self.broker.observe_request(
-                    self.path.partition("?")[0],
-                    time.perf_counter() - start,
-                )
+        self._route(self._post)
 
     def _get(self) -> None:
         path, _, query = self.path.partition("?")

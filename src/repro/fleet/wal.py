@@ -18,9 +18,10 @@ The contract:
   write, flushed and fsync'd, so a crash can only tear the *final*
   line.  Whole-file rewrites (WAL compaction, journal resume) go
   through :func:`durable_replace` and never leave a mix.
-- **Read** (:func:`scan_wal`): an unterminated or unparseable final
-  line is a torn tail and is dropped — the record it carried was never
-  acknowledged, so dropping it restores the exact pre-write state.
+- **Read** (:func:`scan_wal`): an unterminated final line, or one that
+  is not a JSON object, is a torn tail and is dropped — the record it
+  carried was never acknowledged, so dropping it restores the exact
+  pre-write state.
   Garbage *before* the last line means the file was damaged outside a
   normal crash and raises :class:`WalError`.
 - **Tail** (:func:`tail_complete`): complete-line bytes past an
@@ -75,9 +76,10 @@ def scan_wal(path: str | Path) -> Iterator[tuple[dict[str, Any], int]]:
     rehydrating broker applies each record as it arrives (never holding
     the whole log in memory) and truncates the file at the last yielded
     offset, so a torn tail never becomes mid-file garbage for the next
-    restart.  A parse failure on any line but the last raises
-    :class:`WalError`; on the last line it is the torn tail and the
-    iteration simply ends.
+    restart.  A line that is not one JSON object (unparseable, or a
+    parseable array, string, number or null) raises :class:`WalError`
+    on any line but the last; on the last line it is the torn tail and
+    the iteration simply ends.
     """
     offset = 0
     bad_line: int | None = None
@@ -95,6 +97,8 @@ def scan_wal(path: str | Path) -> Iterator[tuple[dict[str, Any], int]]:
             try:
                 record = json.loads(line)
             except (json.JSONDecodeError, UnicodeDecodeError):
+                record = None
+            if not isinstance(record, dict):
                 bad_line = i + 1  # torn tail unless another line follows
                 continue
             if not raw.endswith(b"\n"):

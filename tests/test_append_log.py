@@ -72,6 +72,19 @@ def test_readers_and_tail_agree(tmp_path, blob, expected):
     assert _read_both(shipped) == (journal, wal)
 
 
+@pytest.mark.parametrize("line", [b"[1, 2]", b'"text"', b"42", b"null"])
+def test_non_object_line_is_a_torn_tail_or_corrupt(tmp_path, line):
+    """A parseable line that is not an object is treated like an
+    unparseable one: dropped as the torn tail at the end of the file,
+    corrupt anywhere else — by both readers."""
+    path = tmp_path / "cell.journal.jsonl"
+    path.write_bytes(INTACT + line + b"\n")
+    assert _read_both(path) == ([HEADER, COMMIT], [HEADER, COMMIT])
+    assert recover_wal(path)[1] == len(INTACT)
+    path.write_bytes(INTACT + line + b"\n" + INTACT)
+    assert _read_both(path) == (JournalError, WalError)
+
+
 def test_run_journal_bytes_and_reopen(tmp_path):
     """The journal writes one sorted-key line per record on the shared
     log; a resume rewrite keeps exactly the kept records."""

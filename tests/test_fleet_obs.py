@@ -13,8 +13,8 @@ attribution.
 """
 
 import json
-import math
 import threading
+import time
 
 import pytest
 
@@ -338,6 +338,26 @@ class TestBrokerObservability:
             "fleet_request_latency_seconds", "fleet_wal_fsync_seconds",
         ):
             assert expected in families
+
+    def test_metrics_count_every_answered_request(
+        self, broker_server, monkeypatch
+    ):
+        """A request is counted before its answer reaches the client, so
+        the next ``/metrics`` always includes it.  Recording is slowed
+        down to widen the window a late count would fall into."""
+        broker = broker_server.broker
+        observe = broker.observe_request
+
+        def slow_observe(endpoint, dur_s):
+            time.sleep(0.01)
+            observe(endpoint, dur_s)
+
+        monkeypatch.setattr(broker, "observe_request", slow_observe)
+        client = BrokerClient(broker_server.url)
+        key = 'fleet_requests_total{endpoint="/submit"}'
+        for i in range(1, 51):
+            client.submit("session.a", b"payload")
+            assert parse_metrics(client.metrics_text())[key] == i
 
     def test_heartbeat_front_publishes_best(self, broker_server):
         client = BrokerClient(broker_server.url)

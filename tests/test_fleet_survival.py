@@ -278,6 +278,28 @@ class TestRehydration:
         finally:
             third.close()
 
+    def test_non_object_wal_line(self, tmp_path):
+        """A parseable non-object WAL line is a torn tail at the end of
+        the log (dropped and truncated) and corruption mid-file
+        (``WalError``), never an ``AttributeError`` from replay."""
+        gen = tmp_path / "gen"
+        gen.mkdir()
+        broker = FleetBroker(lease_ttl_s=300.0, state_dir=gen)
+        broker.create_queue("q")
+        broker.submit("q", b"p1", task_id="t1")
+        broker.close()
+        raw = (gen / "broker.fleet.jsonl").read_bytes()
+        intact = _state_snapshot(raw, tmp_path, "intact")
+
+        assert _state_snapshot(raw + b"[1, 2]\n", tmp_path, "tail") == intact
+        tail_wal = tmp_path / "state-tail" / "broker.fleet.jsonl"
+        assert tail_wal.read_bytes().startswith(raw)
+        assert b"[1, 2]" not in tail_wal.read_bytes()
+
+        first, rest = raw.split(b"\n", 1)
+        with pytest.raises(WalError):
+            _state_snapshot(first + b"\n[1, 2]\n" + rest, tmp_path, "mid")
+
     def test_completed_result_survives_restart(self, tmp_path):
         broker = FleetBroker(lease_ttl_s=300.0, state_dir=tmp_path)
         broker.create_queue("q")

@@ -10,7 +10,6 @@ from repro.core.pareto import (
     default_reference,
     dominated_boxes,
     dominates,
-    hvi,
     hvi_batch,
     hypervolume,
     pareto_front,
@@ -123,11 +122,13 @@ class TestHypervolume:
         mc = dominated.mean() * 1.2 ** 3
         assert exact == pytest.approx(mc, rel=0.02)
 
-    def test_recursive_4d_consistent_with_product(self):
-        """A single 4-D point's HV is the box volume."""
+    def test_more_than_three_objectives_rejected(self):
         point = np.array([[0.5, 0.5, 0.5, 0.5]])
         ref = np.full(4, 1.0)
-        assert hypervolume(point, ref) == pytest.approx(0.5 ** 4)
+        with pytest.raises(NotImplementedError):
+            hypervolume(point, ref)
+        with pytest.raises(NotImplementedError):
+            dominated_boxes(point, ref)
 
 
 class TestHVI:
@@ -138,7 +139,11 @@ class TestHVI:
         front = pareto_front(Y)
         rng = np.random.default_rng(0)
         samples = rng.uniform(0, 1.5, size=(20, Y.shape[1]))
-        exact = np.array([hvi(s, front, ref) for s in samples])
+        base = hypervolume(front, ref)
+        exact = np.array([
+            max(0.0, hypervolume(np.vstack([front, s]), ref) - base)
+            for s in samples
+        ])
         fast = hvi_batch(samples, front, ref)
         assert np.allclose(exact, fast, atol=1e-9)
 
