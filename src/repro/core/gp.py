@@ -208,7 +208,7 @@ class GaussianProcess:
         self, K: np.ndarray, z: np.ndarray, log_noise: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cholesky factor of ``K`` + noise + jitter (in place) and K⁻¹z."""
-        K[np.diag_indices_from(K)] += math.exp(log_noise) + JITTER
+        K.flat[:: len(K) + 1] += math.exp(log_noise) + JITTER
         L = linalg.chol_factor(K)
         return L, linalg.counted_cho_solve(L, z)
 

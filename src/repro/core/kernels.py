@@ -130,9 +130,11 @@ class StationaryKernel(abc.ABC):
         K = sf2 * corr
         dK = np.empty(theta.shape + K.shape[-2:])
         dK[..., 0, :, :] = K  # d/dlog sf2 = K
-        # d sq / d log ls_k = -2 * sq_k
+        # d sq / d log ls_k = -2 * sq_k; the two swaps are
+        # np.moveaxis(-1, -3) without its per-call axis normalization.
         np.multiply(
-            np.moveaxis(sq_per_dim, -1, -3), -2.0, out=dK[..., 1:, :, :]
+            sq_per_dim.swapaxes(-1, -2).swapaxes(-2, -3), -2.0,
+            out=dK[..., 1:, :, :],
         )
         dK[..., 1:, :, :] *= (sf2 * dcorr_dsq)[..., None, :, :]
         return K, dK

@@ -30,8 +30,19 @@ Two jobs in one module:
   ``benchmarks/*.py`` can arm on them even on a 1-CPU CI runner where
   wall-clock speedup assertions are meaningless.
 
-The wrapped factorization is plain :func:`scipy.linalg.cholesky`, so
-routing through :func:`chol_factor` is bitwise neutral.
+The factorization and the solves call LAPACK's ``dpotrf``, ``dpotrs``
+and ``dtrtrs`` directly, with the routines and flags
+:func:`scipy.linalg.cholesky`, :func:`scipy.linalg.cho_solve` and
+:func:`scipy.linalg.solve_triangular` pass, so every result is
+bitwise scipy's.  The scipy wrappers add a batch decorator, array-API
+dispatch, a LAPACK-function lookup and ``asarray_chkfinite`` per call;
+on the GP's matrices (n <= ~150) that overhead costs more than the
+LAPACK work, and the likelihood pays it three times per evaluation.
+What the wrappers check is kept: non-finite input raises
+:class:`ValueError`, a non-positive-definite or singular matrix
+:class:`numpy.linalg.LinAlgError`.  Inputs must be float64 (every
+caller's dtype) and are never overwritten.  No other module calls
+LAPACK.
 """
 
 from __future__ import annotations
@@ -40,7 +51,8 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "FLOPS",
@@ -107,12 +119,57 @@ class FlopCounter:
 FLOPS = FlopCounter()
 
 
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _potrf(K: np.ndarray) -> np.ndarray:
+    """Uncounted lower Cholesky factor of ``K`` (``dpotrf``, clean)."""
+    _check_finite(K)
+    L, info = dpotrf(K, lower=1, clean=1)
+    if info > 0:
+        raise LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(
+            f"LAPACK reported an illegal value in {-info}-th argument "
+            'on entry to "POTRF".'
+        )
+    return L
+
+
+def _trtrs_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Uncounted forward solve ``L^{-1} B`` (``dtrtrs``).
+
+    ``dtrtrs`` expects Fortran order; a C-ordered ``L`` is passed as
+    its transpose with the upper/transposed flags, as
+    :func:`scipy.linalg.solve_triangular` does.
+    """
+    _check_finite(L)
+    _check_finite(B)
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, B, lower=1, trans=0)
+    else:
+        x, info = dtrtrs(L.T, B, lower=0, trans=1)
+    if info > 0:
+        raise LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}-th argument of internal trtrs"
+        )
+    return x
+
+
 def chol_factor(K: np.ndarray) -> np.ndarray:
     """Counted lower-Cholesky factorization (bitwise = scipy's)."""
     n = K.shape[0]
     FLOPS.add("factor_flops", factor_flops(n))
     FLOPS.add("factorizations", 1)
-    return cholesky(K, lower=True)
+    return _potrf(K)
 
 
 def chol_extend(L_old: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -130,11 +187,8 @@ def chol_extend(L_old: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"cross block has shape {B.shape}, expected {(n_old, k)}"
         )
-    C = solve_triangular(L_old, B, lower=True)  # (n_old, k)
-    S = D - C.T @ C
-    # numpy's cholesky raises LinAlgError on indefinite input; scipy's
-    # raises its own subclass of it.  Either propagates to the caller.
-    L_k = cholesky(S, lower=True)
+    C = _trtrs_lower(L_old, B)  # (n_old, k)
+    L_k = _potrf(D - C.T @ C)
     FLOPS.add("extend_flops", extend_flops(n_old, k))
     FLOPS.add("extensions", 1)
     n = n_old + k
@@ -167,7 +221,14 @@ def counted_cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = L.shape[0]
     nrhs = 1 if b.ndim == 1 else b.shape[1]
     FLOPS.add("solve_flops", 2 * n * n * nrhs)
-    return cho_solve((L, True), b)
+    _check_finite(b)
+    _check_finite(L)
+    x, info = dpotrs(L, b, lower=1)
+    if info != 0:
+        raise ValueError(
+            f"illegal value in {-info}th argument of internal potrs"
+        )
+    return x
 
 
 def counted_solve_triangular(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -181,4 +242,4 @@ def counted_solve_triangular(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = L.shape[0]
     nrhs = 1 if B.ndim == 1 else B.shape[1]
     FLOPS.add("solve_flops", n * n * nrhs)
-    return solve_triangular(L, B, lower=True)
+    return _trtrs_lower(L, B)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from repro.core import linalg
 from repro.core.linalg import (
@@ -11,6 +13,7 @@ from repro.core.linalg import (
     chol_extend,
     chol_factor,
     counted_cho_solve,
+    counted_solve_triangular,
     extend_flops,
     factor_flops,
 )
@@ -108,6 +111,149 @@ class TestCountedWrappers:
         # flops than refactorizing from scratch.
         assert extend_flops(100, 1) < factor_flops(101) / 30
         assert extend_flops(100, 5) < factor_flops(105) / 5
+
+
+def reference_chol_extend(L_old, B, D):
+    """``chol_extend`` through scipy's wrappers (the bitwise reference)."""
+    n_old, k = B.shape
+    C = solve_triangular(L_old, B, lower=True)
+    L = np.zeros((n_old + k, n_old + k))
+    L[:n_old, :n_old] = L_old
+    L[n_old:, :n_old] = C.T
+    L[n_old:, n_old:] = cholesky(D - C.T @ C, lower=True)
+    return L
+
+
+def _ordered(a, order):
+    return np.asfortranarray(a) if order == "F" else np.ascontiguousarray(a)
+
+
+def _rhs(rng, n, nrhs, order):
+    if nrhs is None:
+        return rng.normal(size=n)
+    return _ordered(rng.normal(size=(n, nrhs)), order)
+
+
+def _bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _calls(fn, *args):
+    """``fn(*args)``, its flop deltas, and a check it left args alone."""
+    copies = [a.copy() for a in args]
+    before = FLOPS.snapshot()
+    out = fn(*args)
+    delta = FlopCounter.delta(before, FLOPS.snapshot())
+    for a, c in zip(args, copies):
+        assert a.tobytes() == c.tobytes()
+    return out, delta
+
+
+cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    order=st.sampled_from("CF"),
+    nrhs=st.sampled_from([None, 1, 4]),
+)
+
+
+class TestBitwiseScipy:
+    """The direct LAPACK calls return scipy's wrappers' bits."""
+
+    @given(**cases)
+    @settings(max_examples=120, deadline=None)
+    def test_factor_and_solves(self, seed, n, order, nrhs):
+        rng = np.random.default_rng(seed)
+        K = _ordered(_spd(rng, n), order)
+        L, delta = _calls(chol_factor, K)
+        _bitwise(L, cholesky(K, lower=True))
+        assert delta["factor_flops"] == factor_flops(n)
+        assert delta["factorizations"] == 1
+        # The factor as returned (Fortran order) and as a C-order copy:
+        # the triangular solve takes a different dtrtrs branch for each.
+        L = _ordered(L, order)
+        b = _rhs(rng, n, nrhs, order)
+        x, delta = _calls(counted_cho_solve, L, b)
+        _bitwise(x, cho_solve((L, True), b))
+        assert delta["solve_flops"] == 2 * n * n * (nrhs or 1)
+        x, delta = _calls(counted_solve_triangular, L, b)
+        _bitwise(x, solve_triangular(L, b, lower=True))
+        assert delta["solve_flops"] == n * n * (nrhs or 1)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_old=st.integers(1, 60),
+        k=st.integers(1, 20),
+        order=st.sampled_from("CF"),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_extend(self, seed, n_old, k, order):
+        rng = np.random.default_rng(seed)
+        K = _spd(rng, n_old + k)
+        L_old = _ordered(cholesky(K[:n_old, :n_old], lower=True), order)
+        B = _ordered(K[:n_old, n_old:], order)
+        D = _ordered(K[n_old:, n_old:], order)
+        L, delta = _calls(chol_extend, L_old, B, D)
+        _bitwise(L, reference_chol_extend(L_old, B, D))
+        assert delta["extend_flops"] == extend_flops(n_old, k)
+        assert delta["extensions"] == 1
+        assert delta["factor_flops"] == delta["solve_flops"] == 0
+
+
+class TestChecks:
+    """The checks scipy's wrappers made survive the direct calls."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80))
+    @settings(max_examples=40, deadline=None)
+    def test_indefinite_raises_linalgerror(self, seed, n):
+        rng = np.random.default_rng(seed)
+        K = _spd(rng, n)
+        K[n // 2, n // 2] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            chol_factor(K)
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(K, lower=True)
+
+    def test_singular_triangle_raises_linalgerror(self):
+        L = np.tril(np.ones((4, 4)))
+        L[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            counted_solve_triangular(L, np.ones(4))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        operand=st.sampled_from(
+            ["factor.K", "cho_solve.L", "cho_solve.b", "solve.L",
+             "solve.b", "extend.L", "extend.B", "extend.D"]
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_operand_raises_valueerror(self, seed, n, bad, operand):
+        rng = np.random.default_rng(seed)
+        K = _spd(rng, 2 * n)
+        L = cholesky(K[:n, :n], lower=True)
+        args = {
+            "factor": [K],
+            "cho_solve": [L, rng.normal(size=n)],
+            "solve": [L, rng.normal(size=(n, 2))],
+            "extend": [L, K[:n, n:].copy(), K[n:, n:].copy()],
+        }
+        fns = {
+            "factor": chol_factor,
+            "cho_solve": counted_cho_solve,
+            "solve": counted_solve_triangular,
+            "extend": chol_extend,
+        }
+        fn, name = operand.split(".")
+        position = {"K": 0, "L": 0, "b": 1, "B": 1, "D": 2}[name]
+        target = args[fn][position]
+        # A non-finite entry where LAPACK reads it: the lower triangle.
+        target.flat[-1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fns[fn](*args[fn])
 
 
 class _DictMetrics:
