@@ -250,6 +250,14 @@ def _run_fleet(
         client = BrokerClient(url)
         stats = client.stats()
         best = client.best() if telemetry else None
+        if telemetry:
+            # One last scrape of every endpoint while the fleet is
+            # still up: the sidecar's ticks can all land before the
+            # first completion, and the seeded SLO gate needs a sample
+            # taken after it.
+            scrape_stop.set()
+            scraper.join(timeout=10.0)
+            scrape_loop(urls=endpoints, out=metrics_dir, count=1)
     finally:
         scrape_stop.set()
         if scraper is not None:

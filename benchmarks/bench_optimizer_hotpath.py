@@ -270,9 +270,9 @@ def _full_report() -> None:
         snap = optimizer.metrics.snapshot()
         print(
             f"  {label:>6}: {wall:6.1f}s  "
-            f"fit {snap.get('fit_s', 0.0):6.1f}s  "
-            f"predict {snap.get('predict_s', 0.0):5.2f}s  "
-            f"hvi {snap.get('hvi_s', 0.0):5.2f}s  "
+            f"fit {snap.get('fit', 0.0):6.1f}s  "
+            f"predict {snap.get('predict', 0.0):5.2f}s  "
+            f"hvi {snap.get('acquire', 0.0):5.2f}s  "
             f"cache hits {hits}"
         )
     (_, wall_compat, res_compat, _) = rows[0]

@@ -182,7 +182,7 @@ def _ensure_fit(opt, state: AsyncState) -> None:
     settings = opt.settings
     if state.fitted_at != state.committed:
         optimize = (state.committed % settings.refit_every) == 0
-        with opt.metrics.timed("fit_s"), opt.spans.span(
+        with opt.spans.span(
             "fit", cat="fit", step=state.next_step, optimize=optimize
         ):
             opt._fit_stack(optimize=optimize)
@@ -203,7 +203,9 @@ def _condition_on_pending(opt, pending: list[PendingEval]) -> None:
         for level, y in p.fantasy_levels.items():
             fantasy_X[level].append(x_row)
             fantasy_Y[level].append(np.asarray(y, dtype=float))
-    with opt.metrics.timed("fit_s"), linalg.metered(opt.metrics, "fantasy"):
+    with opt.spans.span(
+        "fit", cat="fit", fantasies=len(pending)
+    ), linalg.metered(opt.metrics, "fantasy"):
         opt._stack.fit(
             _fantasized_datasets(opt, fantasy_X, fantasy_Y),
             optimize=False,
@@ -243,7 +245,7 @@ def _propose_one(opt, state: AsyncState) -> PendingEval | None:
         return None
     _ensure_fit(opt, state)
     _front, ref, fantasy_front = _fantasy_front(opt, state.pending)
-    with opt.metrics.timed("hvi_s"):
+    with opt.spans.span("dominated_boxes", cat="acquire"):
         boxes = dominated_boxes(fantasy_front, ref)
     pool = opt._candidate_pool(exclude=pending_configs)
     choice = opt._scan_best(pool, fantasy_front, ref, boxes)
@@ -325,7 +327,6 @@ def _drain_one(opt, state: AsyncState, engine: EvalEngine) -> None:
             f"worker {outcome.worker or '?'}:\n{outcome.error}"
         )
     with opt.spans.span("commit", cat="step", step=pend.step):
-        opt.metrics.add_time("eval_s", outcome.exec_s)
         opt._fold_outcome(
             pend.config_index,
             pend.fidelity,
@@ -488,9 +489,11 @@ def _trace_proposal(
             "pool_size": pend.pool_size,
             "eta_s": pend.eta_s,
             "target": state.target,
-            "fit_s": delta.get("fit_s", 0.0),
-            "predict_s": delta.get("predict_s", 0.0),
-            "hvi_s": delta.get("hvi_s", 0.0),
+            "fit_s": delta.get("fit", 0.0),
+            "predict_s": delta.get("predict", 0.0),
+            "hvi_s": (
+                delta.get("dominated_boxes", 0.0) + delta.get("acquire", 0.0)
+            ),
             "select_s": select_s,
             "cache_hits": int(delta.get("cache_hits", 0)),
             "cache_misses": int(delta.get("cache_misses", 0)),

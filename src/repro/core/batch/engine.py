@@ -48,7 +48,7 @@ from repro.core.resilience.retry import (
 )
 from repro.hlsim.flow import _stable_seed
 from repro.hlsim.reports import ALL_FIDELITIES, Fidelity, FlowResult
-from repro.obs.spans import NULL_SPANS
+from repro.obs.spans import SpanRecorder
 
 __all__ = [
     "EvalJob",
@@ -126,7 +126,7 @@ class EvalEngine:
         clamp: bool = True,
         retry_policy: RetryPolicy | None = None,
         seed: int = 0,
-        spans=NULL_SPANS,
+        spans: SpanRecorder | None = None,
         drain_s: float = 5.0,
     ):
         if clamp:
@@ -136,7 +136,7 @@ class EvalEngine:
         self.drain_s = drain_s
         self.retry_policy = retry_policy or RetryPolicy()
         self.seed = seed
-        self.spans = spans
+        self.spans = SpanRecorder() if spans is None else spans
         self._space = space
         self._flow = flow
         if flow_factory is None:

@@ -70,8 +70,7 @@ from repro.core.result import OptimizationResult, StepRecord
 from repro.dse.space import DesignSpace
 from repro.hlsim.flow import HlsFlow, _stable_seed
 from repro.hlsim.reports import ALL_FIDELITIES, NUM_OBJECTIVES, Fidelity
-from repro.obs.spans import NULL_SPANS, SpanRecorder
-from repro.obs.timing import Metrics
+from repro.obs.spans import SpanRecorder
 from repro.obs.trace import TRACE_SCHEMA_VERSION, JsonlTraceWriter
 
 
@@ -149,12 +148,13 @@ class MFBOSettings:
     punish_on_failure: bool = True
     journal_path: str | None = None
     resume_from: str | None = None
-    # Telemetry (:mod:`repro.obs.spans`).  ``trace_spans`` additionally
-    # records nested wall-time spans (fit / predict / acquire /
-    # flow_eval per fidelity, with (pid, tid) attribution) into the
-    # run's JSONL trace for Perfetto export.  Spans read clocks only —
+    # Telemetry (:mod:`repro.obs.spans`).  Spans (fit / predict /
+    # acquire / flow_eval per fidelity, ...) always time the run into
+    # ``metrics``; ``trace_spans`` additionally writes them, with
+    # (pid, tid) attribution, into the run's JSONL trace for Perfetto
+    # export (a no-op without a ``tracer``).  Spans read clocks only —
     # never the RNG — so enabling them cannot change selections
-    # (regression-tested); they are a no-op without a ``tracer``.
+    # (regression-tested).
     trace_spans: bool = False
     seed: int = 0
 
@@ -269,12 +269,10 @@ class CorrelatedMFBO:
         # EvalEngine (e.g. repro.fleet.executor.RemoteExecutor).  The
         # loop closes whatever this returns.
         self.engine_factory = engine_factory
-        self.spans = (
-            SpanRecorder(tracer)
-            if (self.settings.trace_spans and tracer is not None)
-            else NULL_SPANS
+        self.spans = SpanRecorder(
+            tracer if self.settings.trace_spans else None
         )
-        self.metrics = Metrics()
+        self.metrics = self.spans.metrics
         self.rng = np.random.default_rng(self.settings.seed)
         self._data = {f: _FidelityData() for f in ALL_FIDELITIES}
         self._eval_mask = {
@@ -361,7 +359,7 @@ class CorrelatedMFBO:
     ) -> None:
         """Run the flow up to ``fidelity`` under the retry policy and
         fold whatever it yields (possibly degraded or punished) in."""
-        with self.metrics.timed("eval_s"), self.spans.span(
+        with self.spans.span(
             "flow_eval", cat="eval", step=step, config_index=index,
             fidelity=fidelity.short_name,
         ):
@@ -838,7 +836,6 @@ class CorrelatedMFBO:
         fidelity's already-evaluated configurations are masked out of
         its argmax rather than re-pooled.
         """
-        metrics = self.metrics
         X = self.space.features[pool]
         stack = self._stack
         stack.begin_step()
@@ -851,7 +848,7 @@ class CorrelatedMFBO:
                 eligibility[fidelity] = eligible
         if not eligibility:
             return None
-        with metrics.timed("predict_s"), self.spans.span(
+        with self.spans.span(
             "predict", cat="predict",
             fidelity=",".join(f.short_name for f in eligibility),
         ):
@@ -861,7 +858,7 @@ class CorrelatedMFBO:
         best: tuple[int, Fidelity, float] | None = None
         for fidelity, eligible in eligibility.items():
             means, covs = predictions[int(fidelity)]
-            with metrics.timed("hvi_s"), self.spans.span(
+            with self.spans.span(
                 "acquire", cat="acquire", fidelity=fidelity.short_name
             ):
                 scores = eipv_mc(
@@ -882,8 +879,8 @@ class CorrelatedMFBO:
             score = float(scores[k])
             if best is None or score > best[2]:
                 best = (int(pool[k]), fidelity, score)
-        metrics.incr("cache_hits", stack.cache_hits - hits0)
-        metrics.incr("cache_misses", stack.cache_misses - misses0)
+        self.metrics.incr("cache_hits", stack.cache_hits - hits0)
+        self.metrics.incr("cache_misses", stack.cache_misses - misses0)
         return best
 
     # ------------------------------------------------------------------

@@ -37,7 +37,7 @@ from repro.experiments.options import (
 )
 from repro.hlsim.flow import fidelity_sweep
 from repro.hlsim.reports import ALL_FIDELITIES
-from repro.obs.spans import NULL_SPANS, SpanRecorder
+from repro.obs.spans import SpanRecorder
 from repro.obs.trace import JsonlTraceWriter
 
 DEFAULT_BENCHMARKS = ("gemm", "spmv_ellpack")
@@ -90,11 +90,10 @@ def sweep_job(
 ) -> dict:
     """One benchmark's Fig. 5 entry (module-level: picklable worker body)."""
     tracer = None
-    spans = NULL_SPANS
     if trace_dir is not None and trace_spans:
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
         tracer = JsonlTraceWriter(Path(trace_dir) / f"{name}.sweep.jsonl")
-        spans = SpanRecorder(tracer)
+    spans = SpanRecorder(tracer)
     try:
         with spans.span("sweep", cat="eval", kernel=name,
                         eval_workers=eval_workers):

@@ -2,19 +2,20 @@
 
 Recording layers (dependency-free, safe on the hot path):
 
-- :mod:`repro.obs.timing` — wall-clock timers and counters
-  (:class:`~repro.obs.timing.Metrics`, thread-safe) that the optimizer
-  uses to attribute per-step time to fitting, prediction and
-  acquisition.
+- :mod:`repro.obs.timing` — thread-safe time totals and counters
+  (:class:`~repro.obs.timing.Metrics`) that the optimizer uses to
+  attribute per-proposal time to fitting, prediction and acquisition;
+  the time totals are credited by spans.
 - :mod:`repro.obs.trace` — a structured per-step JSONL trace
   (:class:`~repro.obs.trace.JsonlTraceWriter`) with a versioned schema,
   so long optimization runs can be inspected, diffed and regression-
   tested offline.
 - :mod:`repro.obs.spans` — nested wall-time spans with parent ids and
-  (pid, tid) attribution (:class:`~repro.obs.spans.SpanRecorder`),
-  recorded through the trace and exportable to Chrome trace-event JSON
-  (Perfetto / ``chrome://tracing``) via
-  ``python -m repro.obs.spans``.
+  (pid, tid) attribution (:class:`~repro.obs.spans.SpanRecorder`), the
+  only timer: each closed span credits the run's ``Metrics`` time
+  totals and, with a sink, is recorded through the trace and
+  exportable to Chrome trace-event JSON (Perfetto /
+  ``chrome://tracing``) via ``python -m repro.obs.spans``.
 - :mod:`repro.obs.profiling` — an opt-in cProfile hook
   (:func:`~repro.obs.profiling.maybe_profile`) for drilling into a
   single run without touching the code under test.
@@ -28,7 +29,7 @@ Consumer CLIs (stdlib-only — no optimizer imports):
 """
 
 from repro.obs.profiling import maybe_profile
-from repro.obs.timing import Metrics, Timer
+from repro.obs.timing import Metrics
 from repro.obs.trace import (
     JOB_TRACE_FIELDS,
     SPAN_TRACE_FIELDS,
@@ -46,7 +47,6 @@ from repro.obs.trace import (
 # sys.modules first and trigger runpy's double-import RuntimeWarning.
 _LAZY_EXPORTS = {
     "SpanRecorder": "repro.obs.spans",
-    "NULL_SPANS": "repro.obs.spans",
     "export_chrome_trace": "repro.obs.spans",
     "TRACE_CONTEXT_ENV": "repro.obs.spans",
     "format_trace_context": "repro.obs.spans",
@@ -69,7 +69,6 @@ def __getattr__(name):
 
 __all__ = [
     "Metrics",
-    "Timer",
     "JsonlTraceWriter",
     "TraceSchemaError",
     "read_trace",
@@ -77,7 +76,6 @@ __all__ = [
     "upgrade_record",
     "maybe_profile",
     "SpanRecorder",
-    "NULL_SPANS",
     "export_chrome_trace",
     "TRACE_CONTEXT_ENV",
     "format_trace_context",

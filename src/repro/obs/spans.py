@@ -32,16 +32,18 @@ carrying
   grouping come from the trace context, only the horizontal alignment
   comes from the clocks; see DESIGN.md Sec. 15).
 
-Recording costs one ``perf_counter`` pair, one dict build and one
-locked JSONL append per span; nothing here touches any RNG, so
-enabling spans cannot change optimizer selections (regression-tested
-in ``tests/test_obs.py`` and gated at <= 5% end-to-end overhead by
-``benchmarks/bench_obs_overhead.py``).
+Every span also credits its duration to the recorder's
+:class:`repro.obs.timing.Metrics` totals under the span's name, whether
+or not a sink is attached: spans are the only timer the optimizer
+uses, and ``SpanRecorder(None)`` — no sink, no records — is the
+disabled path that still keeps the run's time totals.
 
-:data:`NULL_SPANS` is the disabled-path singleton: its ``span()`` is a
-reusable no-op context manager, so call sites write ``with
-opt.spans.span(...)`` unconditionally and pay a few nanoseconds when
-telemetry is off.
+Recording costs one ``perf_counter`` pair, one locked total update and,
+with a sink, one dict build and one locked JSONL append per span;
+nothing here touches any RNG, so enabling spans cannot change
+optimizer selections (regression-tested in ``tests/test_obs.py`` and
+gated at <= 5% end-to-end overhead by
+``benchmarks/bench_obs_overhead.py``).
 
 Export: :func:`export_chrome_trace` merges any number of JSONL trace
 files (per-cell optimizer traces, the parallel engine's job trace)
@@ -68,10 +70,11 @@ import sys
 import threading
 import time
 import zlib
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+from repro.obs.timing import Metrics
 from repro.obs.trace import (
     SPAN_TRACE_FIELDS,
     TRACE_SCHEMA_VERSION,
@@ -81,8 +84,6 @@ from repro.obs.trace import (
 __all__ = [
     "TRACE_CONTEXT_ENV",
     "SpanRecorder",
-    "NullSpanRecorder",
-    "NULL_SPANS",
     "format_trace_context",
     "parse_trace_context",
     "collect_trace_files",
@@ -124,30 +125,16 @@ def parse_trace_context(
         return trace, None
 
 
-class NullSpanRecorder:
-    """Disabled-telemetry stand-in: every call is a cheap no-op."""
-
-    enabled = False
-
-    def span(self, name: str, cat: str = "run", **kwargs: Any):
-        return nullcontext()
-
-    def current_span_id(self) -> None:
-        return None
-
-
-#: The shared no-op recorder used whenever span tracing is off.
-NULL_SPANS = NullSpanRecorder()
-
-
 class SpanRecorder:
     """Thread-safe nested span tracer writing schema-v7 span records.
 
-    ``sink`` is any callable accepting one record dict —
+    Every closed span credits its duration to :attr:`metrics` under the
+    span's name.  ``sink`` is any callable accepting one record dict —
     ``JsonlTraceWriter.write`` in production, a plain ``list.append``
-    in tests.  Span ids are unique within the recorder (and therefore
-    within the process: one recorder per traced run); cross-process
-    uniqueness is the ``(host, pid, id)`` triple.
+    in tests — or ``None``: then no record is built or written and
+    only the totals are kept.  Span ids are unique within the recorder
+    (and therefore within the process: one recorder per traced run);
+    cross-process uniqueness is the ``(host, pid, id)`` triple.
 
     ``trace``/``remote_parent`` set the recorder-wide fleet context
     (every top-level span parents into ``remote_parent`` under trace
@@ -158,11 +145,9 @@ class SpanRecorder:
     through one recorder).
     """
 
-    enabled = True
-
     def __init__(
         self,
-        sink: Callable[[Mapping[str, Any]], None],
+        sink: Callable[[Mapping[str, Any]], None] | None = None,
         trace: str | None = None,
         remote_parent: int | None = None,
         host: str | None = None,
@@ -170,6 +155,7 @@ class SpanRecorder:
         if hasattr(sink, "write"):  # accept a JsonlTraceWriter directly
             sink = sink.write
         self._sink = sink
+        self.metrics = Metrics()
         self._pid = os.getpid()
         self._host = host or socket.gethostname()
         if trace is None and remote_parent is None:
@@ -207,46 +193,50 @@ class SpanRecorder:
         remote_parent: int | None = None,
         **args: Any,
     ) -> Iterator[None]:
-        """Record the enclosed block as one span (emitted on close)."""
+        """Time the enclosed block as one span: its duration goes to
+        :attr:`metrics` under ``name`` and, with a sink, into one
+        record emitted on close."""
         stack = self._stack()
         span_id = next(self._ids)
         parent = stack[-1] if stack else None
         stack.append(span_id)
-        thread = threading.current_thread()
         start = time.perf_counter()
         try:
             yield
         finally:
             dur = time.perf_counter() - start
             stack.pop()
-            if remote_parent is None:
-                remote_parent = self.remote_parent
-            self._sink(
-                {
-                    "v": TRACE_SCHEMA_VERSION,
-                    "event": "span",
-                    "name": name,
-                    "cat": cat,
-                    "host": self._host,
-                    "pid": self._pid,
-                    "tid": thread.ident,
-                    "tname": thread.name,
-                    "t0": self._anchor + start,
-                    "dur_s": dur,
-                    "id": span_id,
-                    "parent": parent,
-                    "trace": trace if trace is not None else self.trace,
-                    # A span nested under a local parent already chains
-                    # to the remote context through that parent.
-                    "remote_parent": (
-                        remote_parent if parent is None else None
-                    ),
-                    "step": step,
-                    "config_index": config_index,
-                    "fidelity": fidelity,
-                    "args": args,
-                }
-            )
+            self.metrics.add_time(name, dur)
+            if self._sink is not None:
+                if remote_parent is None:
+                    remote_parent = self.remote_parent
+                thread = threading.current_thread()
+                self._sink(
+                    {
+                        "v": TRACE_SCHEMA_VERSION,
+                        "event": "span",
+                        "name": name,
+                        "cat": cat,
+                        "host": self._host,
+                        "pid": self._pid,
+                        "tid": thread.ident,
+                        "tname": thread.name,
+                        "t0": self._anchor + start,
+                        "dur_s": dur,
+                        "id": span_id,
+                        "parent": parent,
+                        "trace": trace if trace is not None else self.trace,
+                        # A span nested under a local parent already
+                        # chains to the remote context through it.
+                        "remote_parent": (
+                            remote_parent if parent is None else None
+                        ),
+                        "step": step,
+                        "config_index": config_index,
+                        "fidelity": fidelity,
+                        "args": args,
+                    }
+                )
 
 
 # ----------------------------------------------------------------------

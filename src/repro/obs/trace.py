@@ -119,8 +119,9 @@ JOB_TRACE_FIELDS: tuple[str, ...] = (
 #: scan saw.  ``eta_s`` (v6) is the proposal's modeled completion time
 #: on the loop's simulation clock and ``target`` the in-flight target
 #: after the adaptive controller's update.  v8 adds the selection's
-#: cost: ``fit_s``/``predict_s``/``hvi_s`` (the optimizer's metric
-#: deltas over the selection), ``select_s`` (its wall time) and the
+#: cost: ``fit_s``/``predict_s``/``hvi_s`` (span totals over the
+#: selection: ``fit``, ``predict``, and ``acquire`` plus
+#: ``dominated_boxes`` spans), ``select_s`` (its wall time) and the
 #: stack's prediction ``cache_hits``/``cache_misses``.
 PROPOSAL_TRACE_FIELDS: tuple[str, ...] = (
     "v",

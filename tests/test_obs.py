@@ -24,13 +24,11 @@ from repro.hlsim.ir import (
     OpCounts,
 )
 from repro.obs import (
-    NULL_SPANS,
     SPAN_TRACE_FIELDS,
     TRACE_SCHEMA_VERSION,
     JsonlTraceWriter,
     Metrics,
     SpanRecorder,
-    Timer,
     TraceSchemaError,
     export_chrome_trace,
     iter_trace,
@@ -90,32 +88,17 @@ def spanned_run(space, path, **overrides):
         ).run()
 
 
-class TestTimer:
-    def test_accumulates(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        first = timer.elapsed
-        assert first >= 0.005
-        with timer:
-            pass
-        assert timer.elapsed >= first
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-
 class TestMetrics:
     def test_timed_and_counts(self):
-        metrics = Metrics()
-        with metrics.timed("fit"):
+        recorder = SpanRecorder()
+        metrics = recorder.metrics
+        with recorder.span("fit"):
             time.sleep(0.005)
         metrics.incr("hits", 3)
         metrics.incr("hits")
-        assert metrics.time("fit") >= 0.003
+        assert metrics.snapshot()["fit"] >= 0.003
         assert metrics.count("hits") == 4
-        assert metrics.time("missing") == 0.0
+        assert "missing" not in metrics.snapshot()
         assert metrics.count("missing") == 0
 
     def test_snapshot_delta(self):
@@ -128,27 +111,33 @@ class TestMetrics:
         assert delta["fit"] == pytest.approx(0.5)
         assert delta["hits"] == 2
 
-    def test_reset(self):
-        metrics = Metrics()
-        metrics.add_time("fit", 1.0)
-        metrics.incr("hits")
-        metrics.reset()
-        assert metrics.snapshot() == {}
+    def test_concurrent_updates_lose_nothing(self, monkeypatch):
+        """The batch engine's eval threads close spans on one sinkless
+        recorder concurrently with the main loop's counters; no update
+        to the shared totals may be lost."""
+        # Each thread's clock alternates 0.0 / 0.001, so every span
+        # lasts exactly 0.001 s and the expected total is known bitwise.
+        local = threading.local()
 
-    def test_concurrent_updates_lose_nothing(self):
-        """The batch engine's eval threads hammer one Metrics instance
-        concurrently with the main loop; no update may be lost."""
-        metrics = Metrics()
+        def perf_counter():
+            local.tick = not getattr(local, "tick", False)
+            return 0.0 if local.tick else 0.001
+
+        recorder = SpanRecorder(None)
+        metrics = recorder.metrics
+        monkeypatch.setattr(
+            obs_spans, "time",
+            type("Clock", (), {"perf_counter": staticmethod(perf_counter)}),
+        )
         n_threads, n_ops = 8, 400
         barrier = threading.Barrier(n_threads)
 
         def hammer():
             barrier.wait()
             for _ in range(n_ops):
-                metrics.add_time("eval_s", 0.001)
-                metrics.incr("hits")
-                with metrics.timed("step_s"):
+                with recorder.span("flow_eval", cat="eval"):
                     pass
+                metrics.incr("hits")
 
         threads = [
             threading.Thread(target=hammer) for _ in range(n_threads)
@@ -163,8 +152,7 @@ class TestMetrics:
         expected = 0.0
         for _ in range(n_threads * n_ops):
             expected += 0.001
-        assert metrics.time("eval_s") == expected
-        assert metrics.time("step_s") > 0.0
+        assert metrics.snapshot()["flow_eval"] == expected
 
 
 class TestJsonlTrace:
@@ -379,10 +367,29 @@ class TestSpanRecorder:
         assert by_name["main_span"]["parent"] is None
         assert by_name["worker_span"]["tid"] != by_name["main_span"]["tid"]
 
-    def test_null_recorder_is_noop(self):
-        assert not NULL_SPANS.enabled
-        with NULL_SPANS.span("anything", cat="x", step=1, whatever=2):
-            pass  # no sink, no record, no error
+    def test_sinkless_recorder_credits_totals(self):
+        rec = SpanRecorder(None)
+        with rec.span("anything", cat="x", step=1, whatever=2):
+            pass  # no sink, no record
+        with pytest.raises(ValueError, match="boom"):
+            with rec.span("anything"):
+                raise ValueError("boom")
+        assert set(rec.metrics.snapshot()) == {"anything"}
+
+    def test_spans_credit_totals_by_name(self):
+        records = []
+        rec = SpanRecorder(records.append)
+        with rec.span("fit", cat="fit"):
+            with rec.span("predict", cat="predict"):
+                pass
+        with rec.span("fit", cat="fit"):
+            pass
+        totals = rec.metrics.snapshot()
+        for name in ("fit", "predict"):
+            assert totals[name] == pytest.approx(
+                sum(r["dur_s"] for r in records if r["name"] == name),
+                rel=1e-12,
+            )
 
     def test_accepts_trace_writer_sink(self, tmp_path):
         path = tmp_path / "spans.jsonl"
@@ -500,6 +507,38 @@ class TestSpanWiring:
         spanned_run(space, path, trace_spans=False)
         assert read_trace(path, "span") == []
         assert len(read_trace(path, "proposal")) == 4  # trace still works
+
+    def test_proposal_costs_equal_span_totals(
+        self, space, tmp_path, monkeypatch
+    ):
+        """Each proposal's fit/predict/hvi cost is read from the span
+        totals, so the proposals and the spans agree on the run: every
+        timed block (fantasy conditioning and the dominated-box
+        decomposition included) is a span."""
+        # Real eval threads even on a 1-CPU machine: their flow_eval
+        # spans close concurrently with the main loop's.
+        monkeypatch.setattr(
+            "repro.core.batch.engine.resolve_worker_count",
+            lambda workers, label="workers": max(1, int(workers)),
+        )
+        path = tmp_path / "async.jsonl"
+        spanned_run(space, path, inflight_target=3, eval_workers=3, n_iter=6)
+        spans = read_trace(path, "span")
+        proposals = read_trace(path, "proposal")
+        assert len(proposals) == 6
+        for field, names in (
+            ("fit_s", ("fit",)),
+            ("predict_s", ("predict",)),
+            ("hvi_s", ("acquire", "dominated_boxes")),
+        ):
+            span_s = sum(r["dur_s"] for r in spans if r["name"] in names)
+            assert span_s > 0.0
+            assert sum(r[field] for r in proposals) == pytest.approx(
+                span_s, rel=1e-9
+            ), field
+        # Pending fantasies were conditioned on, under their own spans.
+        assert any("fantasies" in r["args"] for r in spans
+                   if r["name"] == "fit")
 
     def test_spans_do_not_change_selections(self, space, tmp_path):
         on = spanned_run(space, tmp_path / "on.jsonl", trace_spans=True)

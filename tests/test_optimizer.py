@@ -389,6 +389,6 @@ class TestHotPath:
         optimizer = CorrelatedMFBO(space, flow, quick_settings())
         optimizer.run()
         snap = optimizer.metrics.snapshot()
-        assert snap.get("fit_s", 0.0) > 0.0
-        assert snap.get("eval_s", 0.0) > 0.0
-        assert snap.get("hvi_s", 0.0) > 0.0
+        assert snap.get("fit", 0.0) > 0.0
+        assert snap.get("flow_eval", 0.0) > 0.0
+        assert snap.get("acquire", 0.0) > 0.0
