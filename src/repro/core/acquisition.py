@@ -17,9 +17,18 @@ from __future__ import annotations
 
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.core.pareto import dominated_boxes, hvi_batch, pareto_mask
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(x: np.ndarray) -> np.ndarray:
+    """``scipy.stats.norm.pdf`` bit for bit (its CDF is ``ndtr``);
+    importing scipy.stats would cost most of a cold start."""
+    return np.exp(-x**2 / 2.0) / _SQRT_2PI
+
 
 # ----------------------------------------------------------------------
 # single-objective expected improvement (Eq. (2))
@@ -46,7 +55,7 @@ def expected_improvement(
     lam[positive] = improvement[positive] / sigma[positive]
     out = np.where(
         positive,
-        sigma * (lam * norm.cdf(lam) + norm.pdf(lam)),
+        sigma * (lam * ndtr(lam) + _norm_pdf(lam)),
         out,
     )
     return np.maximum(out, 0.0)
@@ -116,9 +125,9 @@ def _psi(a: np.ndarray, b: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.
     a_eff = np.where(np.isfinite(a), a, mu - 40.0 * sig)
     alpha = (a_eff - mu) / sig
     beta = (b - mu) / sig
-    term1 = (b - a_eff) * norm.cdf(alpha)
-    term2 = (b - mu) * (norm.cdf(beta) - norm.cdf(alpha))
-    term3 = sig * (norm.pdf(beta) - norm.pdf(alpha))
+    term1 = (b - a_eff) * ndtr(alpha)
+    term2 = (b - mu) * (ndtr(beta) - ndtr(alpha))
+    term3 = sig * (_norm_pdf(beta) - _norm_pdf(alpha))
     value = term1 + term2 + term3
     return np.where(safe, np.maximum(value, 0.0), det)
 

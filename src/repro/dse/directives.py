@@ -15,7 +15,7 @@ vector is the concatenation of all per-site features.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -48,12 +48,21 @@ class DirectiveSite:
     kind: DirectiveKind
     target: str
     values: tuple[int, ...]
+    #: The encoding table, ``{value: feature}`` — every model's features
+    #: come from it, so single and batched encodings share their bits.
+    codes: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError(f"site {self.key}: empty value set")
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"site {self.key}: duplicate values")
+        # Boolean-like sites (two values) encode as 0/1 directly; factor
+        # sites are min-max normalized so distances between feature
+        # values reflect distances between factors.
+        lo, hi = min(self.values), max(self.values)
+        codes = {v: 0.0 if hi == lo else (v - lo) / (hi - lo) for v in self.values}
+        object.__setattr__(self, "codes", codes)
 
     @property
     def key(self) -> str:
@@ -61,18 +70,10 @@ class DirectiveSite:
         return f"{self.kind.value}@{self.target}"
 
     def encode(self, value: int) -> float:
-        """Encode one value into [0, 1] per the paper's normalization.
-
-        Boolean-like sites (two values) encode as 0/1 directly; factor
-        sites are min-max normalized so distances between feature values
-        reflect distances between factors.
-        """
+        """Encode one value into [0, 1] per the paper's normalization."""
         if value not in self.values:
             raise ValueError(f"site {self.key}: value {value} not in {self.values}")
-        lo, hi = min(self.values), max(self.values)
-        if hi == lo:
-            return 0.0
-        return (value - lo) / (hi - lo)
+        return self.codes[value]
 
     def index_of(self, value: int) -> int:
         return self.values.index(value)
@@ -145,16 +146,35 @@ class DirectiveSchema:
         """Feature vector of one configuration (paper Sec. III-B)."""
         self._check(config)
         return np.array(
-            [site.encode(v) for site, v in zip(self.sites, config.values)],
+            [site.codes[v] for site, v in zip(self.sites, config.values)],
             dtype=float,
         )
 
     def encode_many(self, configs: Iterable[Configuration]) -> np.ndarray:
-        """Stack feature vectors of many configurations into a matrix."""
-        rows = [self.encode(c) for c in configs]
-        if not rows:
-            return np.empty((0, len(self.sites)))
-        return np.vstack(rows)
+        """Stack feature vectors of many configurations into a matrix.
+
+        Row for row equal to :meth:`encode`: each column is looked up in
+        its site's sorted table with ``searchsorted``, and the first
+        illegal configuration raises :meth:`_check`'s error.
+        """
+        configs = tuple(configs)
+        d = len(self.sites)
+        if any(len(c) != d for c in configs):
+            self._check(next(c for c in configs if len(c) != d))
+        V = np.array([c.values for c in configs]).reshape(len(configs), d)
+        if V.dtype.kind not in "biuf":
+            for config in configs:
+                self._check(config)
+        features = np.empty(V.shape)
+        bad = np.zeros(len(configs), dtype=bool)
+        for j, site in enumerate(self.sites):
+            values = sorted(site.codes)
+            idx = np.minimum(np.searchsorted(values, V[:, j]), len(values) - 1)
+            bad |= np.array(values)[idx] != V[:, j]
+            features[:, j] = np.array([site.codes[v] for v in values])[idx]
+        if bad.any():
+            self._check(configs[int(np.argmax(bad))])
+        return features
 
     def value(self, config: Configuration, key: str) -> int:
         """The value a configuration assigns to site ``key``."""

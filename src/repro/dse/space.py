@@ -76,12 +76,14 @@ class DesignSpace:
         self, rng: np.random.Generator, k: int, exclude: Iterable[int] = ()
     ) -> list[int]:
         """Sample ``k`` distinct configuration indices without replacement."""
-        excluded = set(exclude)
-        pool = [i for i in range(len(self)) if i not in excluded]
+        n = len(self)
+        excluded = np.zeros(n, dtype=bool)
+        excluded[[i for i in set(exclude) if 0 <= i < n]] = True
+        pool = np.flatnonzero(~excluded)
         if k > len(pool):
             raise ValueError(f"cannot sample {k} of {len(pool)} configurations")
         chosen = rng.choice(len(pool), size=k, replace=False)
-        return [pool[int(i)] for i in chosen]
+        return pool[chosen].tolist()
 
     def describe(self) -> str:
         """Human-readable summary of the space."""

@@ -27,6 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dse.directives import (
     Configuration,
     DirectiveKind,
@@ -231,25 +233,21 @@ def prune_design_space(
         site for site in schema.sites if site.key not in constrained
     ]
 
-    free_domains = [
-        [(site.key, value) for value in site.values] for site in free_sites
-    ]
-
-    configs: list[Configuration] = []
-    seen: set[tuple[int, ...]] = set()
-    for tree_combo in itertools.product(*tree_choices) if tree_choices else [()]:
-        base: dict[str, int] = {}
-        for assignment in tree_combo:
-            base.update(assignment)
-        for free_combo in itertools.product(*free_domains):
-            assignment = dict(base)
-            assignment.update(free_combo)
-            config = schema.config_from_dict(assignment)
-            if config.values not in seen:
-                seen.add(config.values)
-                configs.append(config)
-    configs.sort(key=lambda c: c.values)
-    return configs
+    # Each tree is a group of tied sites with its compatible rows, each
+    # free site a group of one with its whole domain.  Expanding the
+    # site defaults group by group (first group slowest) writes every
+    # combination; np.unique dedupes and orders the rows like tuples.
+    groups = [
+        (list(choices[0]) if choices else [], [list(c.values()) for c in choices])
+        for choices in tree_choices
+    ] + [([site.key], [[v] for v in site.values]) for site in free_sites]
+    V = np.array([[site.values[0] for site in schema.sites]], dtype=np.int64)
+    for keys, rows in groups:
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), len(keys))
+        n = V.shape[0]
+        V = np.repeat(V, len(rows), axis=0)
+        V[:, [schema.site_index(key) for key in keys]] = np.tile(table, (n, 1))
+    return [Configuration(tuple(row)) for row in np.unique(V, axis=0).tolist()]
 
 
 def pruning_ratio(kernel: Kernel, schema: DirectiveSchema) -> tuple[int, int]:

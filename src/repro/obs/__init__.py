@@ -16,9 +16,6 @@ Recording layers (dependency-free, safe on the hot path):
   totals and, with a sink, is recorded through the trace and
   exportable to Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``) via ``python -m repro.obs.spans``.
-- :mod:`repro.obs.profiling` — an opt-in cProfile hook
-  (:func:`~repro.obs.profiling.maybe_profile`) for drilling into a
-  single run without touching the code under test.
 
 Consumer CLIs (stdlib-only — no optimizer imports):
 
@@ -28,7 +25,6 @@ Consumer CLIs (stdlib-only — no optimizer imports):
   regression gate, table1-log rollup.
 """
 
-from repro.obs.profiling import maybe_profile
 from repro.obs.timing import Metrics
 from repro.obs.trace import (
     JOB_TRACE_FIELDS,
@@ -74,7 +70,6 @@ __all__ = [
     "read_trace",
     "iter_trace",
     "upgrade_record",
-    "maybe_profile",
     "SpanRecorder",
     "export_chrome_trace",
     "TRACE_CONTEXT_ENV",

@@ -86,6 +86,10 @@ def summarize_run(paths: list[str | Path]) -> dict:
     t_max = -math.inf
     covered_s = 0.0  # top-level span time (no parent): wall coverage
     n_spans = 0
+    # Phases get self time (duration minus child spans), so they add up
+    # to the covered time; span ids are per recorder: keyed by file, pid.
+    span_self: list[tuple[str, tuple, float]] = []
+    child_s: defaultdict[tuple, float] = defaultdict(float)
     # Fleet lifecycle marks per task id, harvested from the merged
     # cross-process trace: the scheduler's ``submit`` span, the
     # broker's ``broker.lease``/``broker.complete`` markers and the
@@ -111,9 +115,14 @@ def summarize_run(paths: list[str | Path]) -> dict:
                 if t0 is not None:
                     t_min = min(t_min, float(t0))
                     t_max = max(t_max, float(t0) + dur)
-                phase_s[record.get("cat", "?")] += dur
+                pid = record.get("pid")
+                span_self.append(
+                    (record.get("cat", "?"), (path, pid, record.get("id")), dur)
+                )
                 if record.get("parent") is None:
                     covered_s += dur
+                else:
+                    child_s[(path, pid, record["parent"])] += dur
                 fidelity = record.get("fidelity")
                 if record.get("name") == "flow_eval":
                     if fidelity:
@@ -153,6 +162,8 @@ def summarize_run(paths: list[str | Path]) -> dict:
                 if t_start is not None:
                     t_min = min(t_min, float(t_start))
                     t_max = max(t_max, float(t_start) + exec_s)
+    for cat, key, dur in span_self:
+        phase_s[cat] += dur - child_s.get(key, 0.0)
     wall_s = (t_max - t_min) if t_max > t_min else 0.0
     return {
         "files": [str(p) for p in files],

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.acquisition import (
     _batched_cholesky,
+    _norm_pdf,
+    _psi,
     ehvi_2d_independent,
     eipv_mc,
     expected_improvement,
@@ -14,6 +16,63 @@ from repro.core.acquisition import (
     penalized_eipv,
 )
 from repro.core.pareto import hypervolume, pareto_front
+
+
+def _edge_draws(n: int) -> np.ndarray:
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.standard_normal(n // 2), rng.uniform(-40, 40, n // 2)])
+    return np.concatenate([x, [np.inf, -np.inf, 0.0, -0.0, 38.5, -38.5]])
+
+
+class TestNormalWithoutScipyStats:
+    """The CDF/PDF the module uses are scipy.stats.norm's, bit for bit."""
+
+    def test_cdf_and_pdf_equal_scipy_norm(self):
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        x = _edge_draws(200_000)
+        assert ndtr(x).tobytes() == norm.cdf(x).tobytes()
+        assert _norm_pdf(x).tobytes() == norm.pdf(x).tobytes()
+
+    def test_ei_and_psi_equal_scipy_norm_forms(self):
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(1)
+        n = 20_000
+        mu = rng.normal(size=n)
+        sigma = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.01, 2.0, n))
+        best = 0.3
+        improvement = best - mu
+        positive = sigma > 1e-12
+        lam = np.zeros_like(mu)
+        lam[positive] = improvement[positive] / sigma[positive]
+        ei_ref = np.maximum(
+            np.where(
+                positive,
+                sigma * (lam * norm.cdf(lam) + norm.pdf(lam)),
+                np.maximum(improvement, 0.0),
+            ),
+            0.0,
+        )
+        ei = expected_improvement(mu, sigma, best)
+        assert ei.tobytes() == ei_ref.tobytes()
+
+        a = np.where(rng.random(n) < 0.3, -np.inf, rng.normal(size=n) - 1.0)
+        b = a + rng.uniform(0.0, 2.0, n)
+        b[~np.isfinite(a)] = rng.normal(size=int((~np.isfinite(a)).sum()))
+        safe = sigma > 1e-12
+        sig = np.where(safe, sigma, 1.0)
+        a_eff = np.where(np.isfinite(a), a, mu - 40.0 * sig)
+        alpha, beta = (a_eff - mu) / sig, (b - mu) / sig
+        value = (
+            (b - a_eff) * norm.cdf(alpha)
+            + (b - mu) * (norm.cdf(beta) - norm.cdf(alpha))
+            + sig * (norm.pdf(beta) - norm.pdf(alpha))
+        )
+        det = np.clip(b - np.maximum(mu, a), 0.0, None)
+        psi_ref = np.where(safe, np.maximum(value, 0.0), det)
+        assert _psi(a, b, mu, sigma).tobytes() == psi_ref.tobytes()
 
 
 class TestExpectedImprovement:

@@ -102,6 +102,35 @@ class TestDirectiveSchema:
         with pytest.raises(ValueError, match="illegal value"):
             schema.encode(Configuration((3, 0, 1, 0)))
 
+    def test_encode_many_matches_encode_bitwise(self, schema):
+        configs = [
+            Configuration((u, p, a, i))
+            for u in (1, 2, 4) for p in (0, 1, 2)
+            for a in (1, 2, 5, 10) for i in (0, 1)
+        ]
+        X = schema.encode_many(configs)
+        rows = np.vstack([schema.encode(c) for c in configs])
+        assert X.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((1, 0), "configuration has 2 values, schema has 4 sites"),
+            ((3, 0, 1, 0), "site unroll@L1: illegal value 3"),
+            ((1, 0, 3, 7), "site array_partition@A: illegal value 3"),
+            ((1, 0, 2.5, 0), "site array_partition@A: illegal value 2.5"),
+        ],
+    )
+    def test_encode_many_rejects_like_encode(self, schema, bad, message):
+        """The first bad configuration raises encode's own error."""
+        good = Configuration((1, 0, 1, 0))
+        configs = [good, Configuration(bad), Configuration((9, 9, 9, 9))]
+        with pytest.raises(ValueError) as many:
+            schema.encode_many(configs)
+        with pytest.raises(ValueError) as one:
+            schema.encode(Configuration(bad))
+        assert str(many.value) == str(one.value) == message
+
     def test_rejects_duplicate_sites(self):
         site = DirectiveSite(DirectiveKind.UNROLL, "L1", (1, 2))
         with pytest.raises(ValueError, match="duplicate"):

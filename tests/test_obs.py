@@ -32,7 +32,6 @@ from repro.obs import (
     TraceSchemaError,
     export_chrome_trace,
     iter_trace,
-    maybe_profile,
     read_trace,
     upgrade_record,
 )
@@ -189,29 +188,6 @@ class TestJsonlTrace:
         writer.close()
         with pytest.raises(RuntimeError):
             writer.write({"event": "step"})
-
-
-class TestMaybeProfile:
-    def test_noop_without_path(self):
-        with maybe_profile(None) as profiler:
-            assert profiler is None
-
-    def test_writes_text_table(self, tmp_path):
-        path = tmp_path / "profile.txt"
-        with maybe_profile(path) as profiler:
-            assert profiler is not None
-            sum(range(1000))
-        text = path.read_text()
-        assert "cumulative" in text
-
-    def test_writes_binary_pstats(self, tmp_path):
-        import pstats
-
-        path = tmp_path / "profile.prof"
-        with maybe_profile(path):
-            sum(range(1000))
-        stats = pstats.Stats(str(path))
-        assert stats.total_calls > 0
 
 
 class TestOptimizerTrace:
@@ -787,6 +763,29 @@ class TestReport:
         assert "time by phase" in text
         assert "flow_eval by fidelity" in text
         assert "worker utilization" in text
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"inflight_target": 3, "eval_workers": 3}]
+    )
+    def test_phases_add_up_to_covered_time(
+        self, space, tmp_path, monkeypatch, overrides
+    ):
+        """Phases count self time, so nested spans are not counted twice."""
+        monkeypatch.setattr(  # real eval threads on any CPU count
+            "repro.core.batch.engine.resolve_worker_count",
+            lambda workers, label="workers": max(1, int(workers)),
+        )
+        spanned_run(space, tmp_path / "run.jsonl", **overrides)
+        summary = obs_report.summarize_run([tmp_path])
+        phases = summary["phase_s"]
+        assert sum(phases.values()) == pytest.approx(
+            summary["covered_s"], rel=1e-9, abs=1e-9
+        )
+        assert min(phases.values()) >= -1e-9
+        # ``propose`` (cat acquire) encloses the fit spans: counted once.
+        spans = read_trace(tmp_path / "run.jsonl", event="span")
+        fit_s = sum(r["dur_s"] for r in spans if r["cat"] == "fit")
+        assert phases["fit"] == pytest.approx(fit_s, rel=1e-9)
 
     def test_compare_bench_files(self, tmp_path):
         a = tmp_path / "BENCH_a.json"

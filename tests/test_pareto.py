@@ -64,6 +64,41 @@ class TestDomination:
         assert mask.tolist() == [True, True, False]
 
 
+def _brute_force_mask(Y: np.ndarray) -> np.ndarray:
+    """O(n²) reference: a row survives unless some row dominates it."""
+    le = np.all(Y[:, None, :] <= Y[None, :, :], axis=2)  # [j, i]: j <= i
+    lt = np.any(Y[:, None, :] < Y[None, :, :], axis=2)
+    return ~np.any(le & lt, axis=0)
+
+
+@st.composite
+def tied_point_sets(draw):
+    """Small-integer rows (ties, duplicates) with some NaN entries."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 30))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=m, max_size=m),
+            min_size=n, max_size=n,
+        )
+    )
+    Y = np.array(rows, dtype=float).reshape(n, m)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 3)))):
+        if i < n and j < m:
+            Y[i, j] = np.nan
+    if n:
+        repeats = draw(st.lists(st.integers(0, n - 1), max_size=5))
+        Y = np.vstack([Y, Y[repeats]])
+    return Y
+
+
+class TestParetoMaskProperty:
+    @given(tied_point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_mask_equals_brute_force(self, Y):
+        assert pareto_mask(Y).tolist() == _brute_force_mask(Y).tolist()
+
+
 class TestHypervolume:
     def test_single_point_2d(self):
         assert hypervolume(np.array([[1.0, 1.0]]), np.array([3.0, 2.0])) == (

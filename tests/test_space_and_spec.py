@@ -124,6 +124,27 @@ class TestDesignSpace:
         sample = space.sample_indices(rng, 2, exclude=exclude)
         assert set(sample) == {len(space) - 2, len(space) - 1}
 
+    @pytest.mark.parametrize(
+        "exclude",
+        [(), [0], range(0, 40, 3), {5, 7, 11, 2, 5000, -1}, list(range(60))],
+    )
+    def test_sampling_matches_list_pool(self, exclude):
+        """The mask-built pool draws what the old Python-list pool drew."""
+        from repro.benchsuite.registry import get_space
+
+        space = get_space("spmv_ellpack")
+        for seed in range(3):
+            excluded = set(exclude)
+            pool = [i for i in range(len(space)) if i not in excluded]
+            rng = np.random.default_rng(seed)
+            chosen = rng.choice(len(pool), size=25, replace=False)
+            expected = [pool[int(i)] for i in chosen]
+            got = space.sample_indices(
+                np.random.default_rng(seed), 25, exclude=exclude
+            )
+            assert got == expected
+            assert all(type(i) is int for i in got)
+
     def test_sampling_too_many(self, tiny_kernel):
         space = DesignSpace.from_kernel(tiny_kernel)
         with pytest.raises(ValueError, match="cannot sample"):
