@@ -1,8 +1,9 @@
 """Acceptance benchmark for the parallel experiment engine (ISSUE 2).
 
 Runs a fixed-seed SMOKE-scale Table-1 slice (GEMM + SPMV_ELLPACK, all
-methods) twice — sequentially and through the process-pool engine at
-4 workers — and asserts the two acceptance criteria:
+methods) twice through :func:`repro.experiments.parallel.run_jobs` —
+inline at one worker and over the process pool at 4 workers — and
+asserts the two acceptance criteria:
 
 - **exactness**: every per-run ADRS / simulated-runtime value and every
   summarized Table-1 row is ``==`` (bitwise) between the two modes;
@@ -38,9 +39,10 @@ from repro.experiments.harness import (
     SMOKE_SCALE,
     TABLE1_METHODS,
     run_benchmark,
+    run_table1,
     summarize_benchmark,
 )
-from repro.experiments.parallel import prewarm_contexts, run_table1_parallel
+from repro.experiments.parallel import prewarm_contexts
 
 BENCHMARKS = ("gemm", "spmv_ellpack")
 BASE_SEED = 2021
@@ -86,7 +88,7 @@ def _parallel_slice(cache_dir):
         )
         for name in BENCHMARKS
     }
-    rows = run_table1_parallel(
+    rows = run_table1(
         benchmarks=BENCHMARKS, methods=TABLE1_METHODS, scale=SMOKE_SCALE,
         base_seed=BASE_SEED, workers=WORKERS, cache_dir=cache_dir,
     )

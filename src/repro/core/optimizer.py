@@ -141,9 +141,6 @@ class MFBOSettings:
     # and ``journal_path`` is not, the journal continues in place).
     retry_max_attempts: int = 3
     retry_backoff_s: float = 0.0
-    retry_backoff_mult: float = 2.0
-    retry_max_backoff_s: float = 30.0
-    retry_jitter: float = 0.25
     degrade_on_failure: bool = True
     punish_on_failure: bool = True
     journal_path: str | None = None
@@ -194,9 +191,6 @@ class MFBOSettings:
         return RetryPolicy(
             max_attempts=self.retry_max_attempts,
             base_backoff_s=self.retry_backoff_s,
-            backoff_multiplier=self.retry_backoff_mult,
-            max_backoff_s=self.retry_max_backoff_s,
-            jitter=self.retry_jitter,
             degrade_fidelity=self.degrade_on_failure,
             punish_on_failure=self.punish_on_failure,
         )

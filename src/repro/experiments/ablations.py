@@ -26,6 +26,7 @@ from repro.experiments.options import (
     add_run_options,
     parse_run_options,
 )
+from repro.experiments.parallel import Job, raise_failures, run_jobs
 from repro.obs.trace import JsonlTraceWriter
 
 ABLATIONS: dict[str, dict] = {
@@ -98,36 +99,23 @@ def run(
     verbose: bool = True,
     options: RunOptions = RunOptions(),
 ) -> dict[str, dict]:
-    cells: dict[tuple[str, int], tuple[float, float]] = {}
-    if options.workers > 1 or (options.journal_dir is not None
-                               and options.resume):
-        from repro.experiments.parallel import Job, raise_failures, run_jobs
-
-        jobs = [
-            Job(benchmark=benchmark, method=label, repeat=repeat,
-                fn=ablation_job,
-                kwargs=dict(benchmark=benchmark, label=label, n_iter=n_iter,
-                            candidate_pool=candidate_pool,
-                            n_mc_samples=n_mc_samples,
-                            seed=method_seed(base_seed, label, repeat),
-                            options=options))
-            for label in ABLATIONS
-            for repeat in range(repeats)
-        ]
-        outcomes = run_jobs(
-            jobs, workers=options.workers, cache_dir=options.cache_dir,
-            snapshot_dir=options.journal_dir, resume=options.resume,
-        )
-        raise_failures(outcomes)
-        cells = {(o.job.method, o.job.repeat): o.value for o in outcomes}
-    else:
-        for label in ABLATIONS:
-            for repeat in range(repeats):
-                cells[(label, repeat)] = ablation_job(
-                    benchmark, label, n_iter, candidate_pool, n_mc_samples,
-                    seed=method_seed(base_seed, label, repeat),
-                    options=options,
-                )
+    jobs = [
+        Job(benchmark=benchmark, method=label, repeat=repeat,
+            fn=ablation_job,
+            kwargs=dict(benchmark=benchmark, label=label, n_iter=n_iter,
+                        candidate_pool=candidate_pool,
+                        n_mc_samples=n_mc_samples,
+                        seed=method_seed(base_seed, label, repeat),
+                        options=options))
+        for label in ABLATIONS
+        for repeat in range(repeats)
+    ]
+    outcomes = run_jobs(
+        jobs, workers=options.workers, cache_dir=options.cache_dir,
+        snapshot_dir=options.journal_dir, resume=options.resume,
+    )
+    raise_failures(outcomes)
+    cells = {(o.job.method, o.job.repeat): o.value for o in outcomes}
     results: dict[str, dict] = {}
     for label in ABLATIONS:
         scores = [cells[(label, r)][0] for r in range(repeats)]

@@ -11,7 +11,9 @@ Usage: ``python -m repro.experiments.fig5 [--benchmarks gemm,...]
 (the shared driver flags of :mod:`repro.experiments.options` less the
 BO knobs).
 
-``--workers`` pools whole benchmarks across processes;
+Each benchmark's sweep is one cell of
+:func:`repro.experiments.parallel.run_jobs`: ``--workers`` pools whole
+benchmarks across processes (one worker runs them inline);
 ``--eval-workers`` additionally splits each benchmark's whole-space
 sweep over flow-worker threads (order-preserving, ``==`` the
 sequential sweep — reports are deterministic per configuration).
@@ -35,6 +37,7 @@ from repro.experiments.options import (
     add_run_options,
     parse_run_options,
 )
+from repro.experiments.parallel import Job, raise_failures, run_jobs
 from repro.hlsim.flow import fidelity_sweep
 from repro.hlsim.reports import ALL_FIDELITIES
 from repro.obs.spans import SpanRecorder
@@ -126,27 +129,22 @@ def run(
         cache_dir=options.cache_dir, eval_workers=options.eval_workers,
         trace_dir=options.trace_dir, trace_spans=options.trace_spans,
     )
-    if options.workers > 1 or options.journal_dir is not None:
-        from repro.experiments.parallel import Job, raise_failures, run_jobs
-
-        jobs = [
-            Job(benchmark=name, method="fig5-sweep", repeat=0,
-                fn=sweep_job, kwargs=dict(name=name, **sweep))
-            for name in benchmarks
-        ]
-        trace_path = (
-            Path(options.trace_dir) / "fig5.jobs.jsonl"
-            if options.trace_dir else None
-        )
-        outcomes = run_jobs(
-            jobs, workers=options.workers, trace_path=trace_path,
-            cache_dir=options.cache_dir, snapshot_dir=options.journal_dir,
-            resume=options.resume,
-        )
-        raise_failures(outcomes)
-        results = {o.job.benchmark: o.value for o in outcomes}
-    else:
-        results = {name: sweep_job(name, **sweep) for name in benchmarks}
+    jobs = [
+        Job(benchmark=name, method="fig5-sweep", repeat=0,
+            fn=sweep_job, kwargs=dict(name=name, **sweep))
+        for name in benchmarks
+    ]
+    trace_path = (
+        Path(options.trace_dir) / "fig5.jobs.jsonl"
+        if options.trace_dir else None
+    )
+    outcomes = run_jobs(
+        jobs, workers=options.workers, trace_path=trace_path,
+        cache_dir=options.cache_dir, snapshot_dir=options.journal_dir,
+        resume=options.resume,
+    )
+    raise_failures(outcomes)
+    results = {o.job.benchmark: o.value for o in outcomes}
     for name in benchmarks:
         if verbose:
             print(

@@ -12,8 +12,9 @@ Usage: ``python -m repro.experiments.fig8 [--scale smoke|small|paper]
 [--benchmarks A,B] [--seed N] [RUN OPTIONS]``, where the run options
 are the shared driver flags of :mod:`repro.experiments.options`.
 
-``--journal-dir``/``--resume`` checkpoint and resume the BO cells
-(bitwise identical to an uninterrupted run); the retry flags tune the
+``--journal-dir``/``--resume`` checkpoint the BO cells, snapshot every
+finished cell and resume both (bitwise identical to an uninterrupted
+run); the retry flags tune the
 resilience policy (:mod:`repro.core.resilience`).
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,14 +32,13 @@ from repro.experiments.harness import (
     PAPER_SCALE,
     TABLE1_METHODS,
     BenchmarkContext,
-    method_seed,
-    run_method,
 )
 from repro.experiments.options import (
     RunOptions,
     add_run_options,
     parse_run_options,
 )
+from repro.experiments.parallel import method_jobs, raise_failures, run_jobs
 
 SCALES = {"smoke": SMOKE_SCALE, "small": SMALL_SCALE, "paper": PAPER_SCALE}
 DEFAULT_BENCHMARKS = ("gemm", "spmv_ellpack")
@@ -91,46 +92,18 @@ def _collect_method_runs(
     base_seed: int,
     options: RunOptions,
 ) -> dict:
-    """One MethodRun per (benchmark, method) cell, parallel when asked."""
-    cell = dict(
-        trace_dir=options.trace_dir, journal_dir=options.journal_dir,
-        resume=options.resume,
+    """One MethodRun per (benchmark, method) cell (repeat 0 of each)."""
+    jobs = method_jobs(
+        benchmarks, TABLE1_METHODS, replace(scale, n_repeats=1), base_seed,
+        trace_dir=options.trace_dir, cache_dir=options.cache_dir,
+        journal_dir=options.journal_dir, resume=options.resume,
     )
-    if options.workers > 1 or (options.journal_dir is not None
-                               and options.resume):
-        from repro.experiments.parallel import (
-            Job,
-            raise_failures,
-            run_jobs,
-            run_method_job,
-        )
-
-        jobs = [
-            Job(benchmark=name, method=method, repeat=0,
-                fn=run_method_job,
-                kwargs=dict(benchmark=name, method=method, scale=scale,
-                            seed=method_seed(base_seed, method, 0),
-                            cache_dir=options.cache_dir, **cell))
-            for name in benchmarks
-            for method in TABLE1_METHODS
-        ]
-        outcomes = run_jobs(
-            jobs, workers=options.workers, cache_dir=options.cache_dir,
-            snapshot_dir=options.journal_dir, resume=options.resume,
-        )
-        raise_failures(outcomes)
-        return {
-            (o.job.benchmark, o.job.method): o.value for o in outcomes
-        }
-    runs = {}
-    for name in benchmarks:
-        ctx = BenchmarkContext.get(name, cache_dir=options.cache_dir)
-        for method in TABLE1_METHODS:
-            runs[(name, method)] = run_method(
-                ctx, method, scale, seed=method_seed(base_seed, method, 0),
-                **cell,
-            )
-    return runs
+    outcomes = run_jobs(
+        jobs, workers=options.workers, cache_dir=options.cache_dir,
+        snapshot_dir=options.journal_dir, resume=options.resume,
+    )
+    raise_failures(outcomes)
+    return {(o.job.benchmark, o.job.method): o.value for o in outcomes}
 
 
 def scatter_series(entry: dict, projection: str) -> dict[str, np.ndarray]:

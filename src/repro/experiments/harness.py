@@ -21,7 +21,7 @@ minutes and seconds respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -400,6 +400,51 @@ def run_method(
     )
 
 
+def _run_method_grid(
+    names: tuple[str, ...],
+    methods: tuple[str, ...],
+    scale: ExperimentScale,
+    base_seed: int,
+    verbose: bool,
+    trace_dir: str | Path | None,
+    trace_name: str,
+    workers: int,
+    cache_dir: str | Path | None,
+    journal_dir: str | Path | None,
+    resume: bool,
+) -> dict[str, dict[str, list[MethodRun]]]:
+    """Every (benchmark, method, repeat) cell through
+    :func:`repro.experiments.parallel.run_jobs`, grouped in repeat order.
+
+    ``journal_dir`` holds both the BO methods' per-cell run journals and
+    the finished cells' snapshots; the job trace goes to
+    ``{trace_dir}/{trace_name}.jobs.jsonl``.
+    """
+    from repro.experiments.parallel import (
+        _group_method_runs,
+        method_jobs,
+        print_method_run,
+        raise_failures,
+        run_jobs,
+    )
+
+    jobs = method_jobs(
+        names, methods, scale, base_seed,
+        trace_dir=trace_dir, cache_dir=cache_dir,
+        journal_dir=journal_dir, resume=resume,
+    )
+    outcomes = run_jobs(
+        jobs, workers=workers,
+        trace_path=(
+            Path(trace_dir) / f"{trace_name}.jobs.jsonl" if trace_dir else None
+        ),
+        cache_dir=cache_dir, snapshot_dir=journal_dir, resume=resume,
+        on_land=print_method_run if verbose else None,
+    )
+    raise_failures(outcomes)
+    return _group_method_runs(names, methods, outcomes)
+
+
 def run_benchmark(
     name: str,
     methods: tuple[str, ...] = TABLE1_METHODS,
@@ -414,38 +459,19 @@ def run_benchmark(
 ) -> dict[str, list[MethodRun]]:
     """All repeats of all methods on one benchmark.
 
-    ``workers > 1`` fans the (method, repeat) cells out over a process
-    pool (:mod:`repro.experiments.parallel`); results are bitwise
-    identical to the sequential path.  ``cache_dir`` enables the
-    persistent ground-truth cache; ``journal_dir``/``resume`` enable
-    per-cell run journals (BO methods) and cell snapshots so an
-    interrupted sweep picks up where it stopped.
+    The (method, repeat) cells run through
+    :func:`repro.experiments.parallel.run_jobs`: inline at one worker,
+    over a process pool at more, with the same numbers either way.
+    ``cache_dir`` enables the persistent ground-truth cache;
+    ``journal_dir``/``resume`` enable per-cell run journals (BO
+    methods) and cell snapshots so an interrupted sweep picks up where
+    it stopped.  A failing cell does not stop the others; one
+    ``RuntimeError`` names every failed cell after the sweep.
     """
-    if workers > 1:
-        from repro.experiments.parallel import run_benchmark_parallel
-
-        return run_benchmark_parallel(
-            name, methods=methods, scale=scale, base_seed=base_seed,
-            workers=workers, verbose=verbose, trace_dir=trace_dir,
-            cache_dir=cache_dir, journal_dir=journal_dir,
-            snapshot_dir=journal_dir, resume=resume,
-        )
-    ctx = BenchmarkContext.get(name, cache_dir=cache_dir)
-    runs: dict[str, list[MethodRun]] = {m: [] for m in methods}
-    for method in methods:
-        for repeat in range(scale.n_repeats):
-            seed = method_seed(base_seed, method, repeat)
-            run = run_method(
-                ctx, method, scale, seed, trace_dir=trace_dir,
-                journal_dir=journal_dir, resume=resume,
-            )
-            runs[method].append(run)
-            if verbose:
-                print(
-                    f"  {name}/{method} repeat {repeat}: "
-                    f"ADRS={run.adrs:.4f} time={run.runtime_s / 3600:.2f}h"
-                )
-    return runs
+    return _run_method_grid(
+        (name,), methods, scale, base_seed, verbose, trace_dir, name,
+        workers, cache_dir, journal_dir, resume,
+    )[name]
 
 
 @dataclass
@@ -485,33 +511,14 @@ def run_table1(
 ) -> list[Table1Row]:
     """Reproduce Table I: every method on every benchmark.
 
-    ``workers > 1`` pools *all* (benchmark, method, repeat) cells for
-    the best load balance; aggregation order — and therefore every
-    ADRS/runtime number — matches the sequential path exactly.
+    All (benchmark, method, repeat) cells of the table form one job
+    list (the best load balance at ``workers > 1``); rows aggregate in
+    benchmark order, so every ADRS/runtime number is the same at any
+    worker count.  The other arguments are :func:`run_benchmark`'s.
     """
-    if workers > 1:
-        from repro.experiments.parallel import run_table1_parallel
-
-        return run_table1_parallel(
-            benchmarks, methods=methods, scale=scale, base_seed=base_seed,
-            workers=workers, verbose=verbose, trace_dir=trace_dir,
-            cache_dir=cache_dir, journal_dir=journal_dir,
-            snapshot_dir=journal_dir, resume=resume,
-        )
     names = tuple(benchmarks) if benchmarks else tuple(benchmark_names())
-    rows = []
-    for name in names:
-        if verbose:
-            print(f"benchmark {name}:", flush=True)
-        runs = run_benchmark(
-            name, methods=methods, scale=scale, base_seed=base_seed,
-            verbose=verbose, trace_dir=trace_dir, cache_dir=cache_dir,
-            journal_dir=journal_dir, resume=resume,
-        )
-        rows.append(summarize_benchmark(name, runs))
-    return rows
-
-
-def smoke_scale_for_tests() -> ExperimentScale:
-    """A very small scale for unit tests (alias kept for discoverability)."""
-    return replace(SMOKE_SCALE)
+    grouped = _run_method_grid(
+        names, methods, scale, base_seed, verbose, trace_dir, "table1",
+        workers, cache_dir, journal_dir, resume,
+    )
+    return [summarize_benchmark(name, grouped[name]) for name in names]

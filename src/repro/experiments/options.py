@@ -70,7 +70,7 @@ class RunOptions:
 def add_run_options(parser: argparse.ArgumentParser, bo: bool = True) -> None:
     """Declare the shared flags; ``bo=False`` leaves out the BO knobs."""
     parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool size (1 = sequential)")
+                        help="cell processes (1 = run the cells inline)")
     if bo:
         parser.add_argument("--batch-size", type=int, default=1,
                             help="BO candidates proposed per round (qPEIPV)")

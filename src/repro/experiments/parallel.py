@@ -1,21 +1,23 @@
-"""Process-pool fan-out for the experiment layer.
+"""The one way an experiment driver runs its cell grid.
 
 The paper's evaluation protocol (Sec. V, Table I) is embarrassingly
 parallel: every (benchmark × method × repeat) cell is an independent
 run with its own deterministic seed (:func:`repro.experiments.harness.
-method_seed`).  This module fans those cells out over a
-``ProcessPoolExecutor`` while keeping the results **bitwise identical**
-to the sequential path:
+method_seed`).  Every driver (``table1``, ``fig5``, ``fig8``,
+``ablations``) builds its cells as a list of :class:`Job` and hands it
+to :func:`run_jobs`, at any ``--workers``: one worker runs the cells
+inline, more fan them out over a ``ProcessPoolExecutor``.  Both modes
+go through the same wrapper and produce the same numbers:
 
-- every job carries the same seed the sequential loop would have used;
-- each job's ADRS/runtime are computed inside the worker with the same
-  code (:func:`repro.experiments.harness.run_method`);
-- aggregation is ordered by job *submission* index, never completion
-  order, so summary statistics see runs in the sequential order;
-- per-job trace files keep the sequential naming scheme (one file per
-  (benchmark, method, seed)), so concurrent writers never collide.
+- every job carries its own seed, whatever process runs it;
+- each job's ADRS/runtime are computed with the same code
+  (:func:`repro.experiments.harness.run_method`);
+- outcomes land, and are aggregated, in job *submission* order, never
+  completion order;
+- per-job trace files are named per (benchmark, method, seed), so
+  concurrent writers never collide.
 
-A worker exception does not abort the sweep: the failing job's identity
+A job exception does not abort the sweep: the failing job's identity
 and traceback are captured in its :class:`JobOutcome` and the remaining
 jobs run to completion; :func:`raise_failures` turns failures into one
 ``RuntimeError`` listing every failed job.
@@ -48,20 +50,16 @@ from typing import Any, Callable, Mapping
 
 import multiprocessing
 
-from repro.benchsuite.registry import benchmark_names
 from repro.core.batch.workers import resolve_worker_count
 from repro.core.resilience.signals import terminate_on_signals
 from repro.fleet.wal import durable_replace
 from repro.hlsim.gtcache import GT_SNAPSHOT
 from repro.experiments.harness import (
-    TABLE1_METHODS,
     BenchmarkContext,
     ExperimentScale,
     MethodRun,
-    Table1Row,
     method_seed,
     run_method,
-    summarize_benchmark,
 )
 from repro.obs.trace import (
     JOB_TRACE_FIELDS,
@@ -192,15 +190,18 @@ def run_jobs(
     prewarm: bool = True,
     snapshot_dir: str | Path | None = None,
     resume: bool = False,
+    on_land: Callable[[JobOutcome], None] | None = None,
 ) -> list[JobOutcome]:
     """Execute jobs, possibly in parallel; outcomes in submission order.
 
     ``workers`` is clamped to ``[1, visible CPUs]`` with a warning
     (``--workers 0`` or an oversubscribed count degrades, never
-    crashes); one worker runs everything inline (the engine's
-    sequential mode — same wrapper, same outcome records).  Failures
-    never abort the sweep; inspect ``outcome.error`` or call
-    :func:`raise_failures`.
+    crashes); one worker runs everything inline (same wrapper, same
+    outcome records, same snapshots and job trace as a pool).
+    Failures never abort the sweep; inspect ``outcome.error`` or call
+    :func:`raise_failures`.  ``on_land`` sees every outcome — restored,
+    computed or failed — in submission order as it lands, so a
+    progress line streams at any worker count.
 
     With ``snapshot_dir``, each successful cell is pickled as it
     completes; ``resume=True`` restores previously snapshotted cells
@@ -229,17 +230,29 @@ def run_jobs(
     if prewarm and pending:
         prewarm_contexts([job.benchmark for _, job in pending], cache_dir)
 
+    reported = 0
+
+    def report() -> None:
+        """Hand the landed prefix of ``outcomes`` to ``on_land``."""
+        nonlocal reported
+        while reported < len(jobs) and outcomes[reported] is not None:
+            if on_land is not None:
+                on_land(outcomes[reported])
+            reported += 1
+
     def land(index: int, outcome: JobOutcome) -> None:
         outcomes[index] = outcome
         if snapshot_dir is not None and outcome.ok:
             _save_snapshot(snapshot_path(snapshot_dir, outcome.job),
                            outcome.value)
+        report()
 
+    report()  # cells restored ahead of the first pending one
     if workers <= 1 or len(pending) <= 1:
         with terminate_on_signals():
             for index, job in pending:
                 land(index, _invoke(job, time.time()))
-    elif pending:
+    else:
         pool = ProcessPoolExecutor(
             max_workers=min(workers, len(pending)),
             mp_context=_pool_context(),
@@ -294,6 +307,8 @@ def _write_job_trace(
     path: str | Path, outcomes: list[JobOutcome], workers: int
 ) -> None:
     """One ``event == "job"`` line per job, in submission order."""
+    # A fully restored sweep runs no cell, so nothing else made the dir.
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with JsonlTraceWriter(path) as writer:
         for outcome in outcomes:
             record = {
@@ -352,7 +367,7 @@ def method_jobs(
     journal_dir: str | Path | None = None,
     resume: bool = False,
 ) -> list[Job]:
-    """The full job list of a Table-1-style sweep, in sequential order."""
+    """The full job list of a Table-1-style sweep, in aggregation order."""
     jobs = []
     for benchmark in benchmarks:
         for method in methods:
@@ -382,99 +397,34 @@ def _group_method_runs(
     benchmarks: tuple[str, ...],
     methods: tuple[str, ...],
     outcomes: list[JobOutcome],
-    verbose: bool = False,
 ) -> dict[str, dict[str, list[MethodRun]]]:
     """Outcomes -> {benchmark: {method: [runs in repeat order]}}."""
     grouped: dict[str, dict[str, list[MethodRun]]] = {
         b: {m: [] for m in methods} for b in benchmarks
     }
     for outcome in outcomes:
-        if not outcome.ok:
-            continue
-        run: MethodRun = outcome.value
-        grouped[outcome.job.benchmark][outcome.job.method].append(run)
-        if verbose:
-            print(
-                f"  {outcome.job.benchmark}/{outcome.job.method} "
-                f"repeat {outcome.job.repeat}: ADRS={run.adrs:.4f} "
-                f"time={run.runtime_s / 3600:.2f}h "
-                f"[worker {outcome.worker}, wait {outcome.queue_wait_s:.2f}s, "
-                f"gt {outcome.gt_cache}]"
+        if outcome.ok:
+            grouped[outcome.job.benchmark][outcome.job.method].append(
+                outcome.value
             )
     return grouped
 
 
-def run_benchmark_parallel(
-    name: str,
-    methods: tuple[str, ...] = TABLE1_METHODS,
-    scale: ExperimentScale | None = None,
-    base_seed: int = 2021,
-    workers: int = 1,
-    verbose: bool = False,
-    trace_dir: str | Path | None = None,
-    cache_dir: str | Path | None = None,
-    snapshot_dir: str | Path | None = None,
-    resume: bool = False,
-    journal_dir: str | Path | None = None,
-) -> dict[str, list[MethodRun]]:
-    """Parallel drop-in for :func:`repro.experiments.harness.run_benchmark`.
+def print_method_run(outcome: JobOutcome) -> None:
+    """The per-cell result line of a :class:`MethodRun` job.
 
-    Same seeds, same scoring, same aggregation order — ADRS/runtime
-    numbers are bitwise identical to the sequential path at any worker
-    count.
+    ``  bench/method repeat r: ADRS=… time=…h [worker …]`` — the format
+    ``python -m repro.obs.report --log`` parses.  Failed cells print
+    nothing here; :func:`raise_failures` names them after the sweep.
     """
-    from repro.experiments.harness import SMALL_SCALE
-
-    scale = scale or SMALL_SCALE
-    jobs = method_jobs(
-        (name,), methods, scale, base_seed,
-        trace_dir=trace_dir, cache_dir=cache_dir,
-        journal_dir=journal_dir, resume=resume,
+    if not outcome.ok:
+        return
+    run: MethodRun = outcome.value
+    print(
+        f"  {outcome.job.benchmark}/{outcome.job.method} "
+        f"repeat {outcome.job.repeat}: ADRS={run.adrs:.4f} "
+        f"time={run.runtime_s / 3600:.2f}h "
+        f"[worker {outcome.worker}, wait {outcome.queue_wait_s:.2f}s, "
+        f"gt {outcome.gt_cache}]",
+        flush=True,
     )
-    trace_path = (
-        Path(trace_dir) / f"{name}.jobs.jsonl" if trace_dir else None
-    )
-    outcomes = run_jobs(
-        jobs, workers=workers, trace_path=trace_path, cache_dir=cache_dir,
-        snapshot_dir=snapshot_dir, resume=resume,
-    )
-    raise_failures(outcomes)
-    return _group_method_runs((name,), methods, outcomes, verbose)[name]
-
-
-def run_table1_parallel(
-    benchmarks: tuple[str, ...] | None = None,
-    methods: tuple[str, ...] = TABLE1_METHODS,
-    scale: ExperimentScale | None = None,
-    base_seed: int = 2021,
-    workers: int = 1,
-    verbose: bool = False,
-    trace_dir: str | Path | None = None,
-    cache_dir: str | Path | None = None,
-    snapshot_dir: str | Path | None = None,
-    resume: bool = False,
-    journal_dir: str | Path | None = None,
-) -> list[Table1Row]:
-    """Parallel drop-in for :func:`repro.experiments.harness.run_table1`.
-
-    Fans out every (benchmark, method, repeat) cell of the whole table
-    into one pool (best load balance), then aggregates rows in the
-    sequential order.
-    """
-    from repro.experiments.harness import SMALL_SCALE
-
-    scale = scale or SMALL_SCALE
-    names = tuple(benchmarks) if benchmarks else tuple(benchmark_names())
-    jobs = method_jobs(
-        names, methods, scale, base_seed,
-        trace_dir=trace_dir, cache_dir=cache_dir,
-        journal_dir=journal_dir, resume=resume,
-    )
-    trace_path = Path(trace_dir) / "table1.jobs.jsonl" if trace_dir else None
-    outcomes = run_jobs(
-        jobs, workers=workers, trace_path=trace_path, cache_dir=cache_dir,
-        snapshot_dir=snapshot_dir, resume=resume,
-    )
-    raise_failures(outcomes)
-    grouped = _group_method_runs(names, methods, outcomes, verbose)
-    return [summarize_benchmark(name, grouped[name]) for name in names]

@@ -15,8 +15,8 @@ The run options are the flag group every driver shares
 [--trace-spans]``.  A column with no finite value (the std-dev block
 at one repeat) averages to ``nan``.
 
-``--workers N`` fans the (benchmark, method, repeat) cells out over a
-process pool (results are bitwise identical to the sequential run);
+``--workers N`` runs the (benchmark, method, repeat) cells in ``N``
+processes (inline at 1; results are bitwise identical at any ``N``);
 ``--batch-size``/``--eval-workers`` run the BO methods' loop as a
 qPEIPV round barrier on concurrent flow workers (composable with
 ``--workers``); ``--cache-dir`` persists exhaustive ground-truth sweeps
@@ -24,9 +24,10 @@ across invocations (see :mod:`repro.hlsim.gtcache` for the
 invalidation rule).
 
 ``--journal-dir DIR`` checkpoints every BO evaluation to a per-cell
-run journal (and, with ``--workers``, snapshots completed cells);
-``--resume`` replays those journals/snapshots after a crash or kill —
-the finished table is bitwise identical to an uninterrupted run.  The
+run journal and snapshots every completed cell; ``--resume``
+restores those snapshots and replays the journals after a crash or
+kill — the finished table is bitwise identical to an uninterrupted
+run.  The
 retry flags tune the fault-handling policy of the flow-evaluation
 layer (:mod:`repro.core.resilience`).
 

@@ -144,6 +144,7 @@ def run_schedule(
     from repro.experiments.parallel import (
         JobOutcome,
         _group_method_runs,
+        print_method_run,
         raise_failures,
     )
 
@@ -251,10 +252,11 @@ def run_schedule(
                     job=job, error=outcome.get("error", "fleet worker failed")
                 )
             session_outcomes.append(outcome)
+            if verbose:
+                print_method_run(outcome)
         raise_failures(session_outcomes)
         results[spec.name] = _group_method_runs(
-            (spec.benchmark,), spec.methods, session_outcomes,
-            verbose=verbose,
+            (spec.benchmark,), spec.methods, session_outcomes
         )[spec.benchmark]
     return results
 

@@ -167,6 +167,9 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="jitter"):
             RetryPolicy(jitter=2.0)
 
+    def test_default_settings_imply_default_policy(self):
+        assert MFBOSettings().retry_policy() == RetryPolicy()
+
     def test_classify(self):
         policy = RetryPolicy(
             retry_on=(RuntimeError,), give_up_on=(ValueError,)
