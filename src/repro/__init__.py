@@ -27,6 +27,8 @@ Quickstart
 True
 """
 
+from repro._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
 __all__ = [
@@ -42,22 +44,10 @@ __all__ = [
 # (``python -m repro.obs.monitor`` / ``.report`` / ``.spans``) live
 # under this package but are stdlib-only by design, so they can tail a
 # sweep from any shell without the heavyweight imports.
-_LAZY_EXPORTS = {
-    "CorrelatedMFBO": ("repro.core.optimizer", "CorrelatedMFBO"),
-    "MFBOSettings": ("repro.core.optimizer", "MFBOSettings"),
-    "OptimizationResult": ("repro.core.result", "OptimizationResult"),
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module, attr = _LAZY_EXPORTS[name]
-        value = getattr(importlib.import_module(module), attr)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = lazy_exports(globals(), {
+    "repro.core.optimizer": ("CorrelatedMFBO", "MFBOSettings"),
+    "repro.core.result": ("OptimizationResult",),
+})
 
 
 def optimize_kernel(

@@ -1,15 +1,10 @@
-"""The paper's comparison methods: FPL18, DAC19, ANN, Boosting tree."""
+"""The paper's comparison methods: FPL18, DAC19, ANN, Boosting tree.
 
-from repro.baselines.ann import MLPRegressor
-from repro.baselines.boosting import GradientBoostingRegressor, RegressionTree
-from repro.baselines.common import (
-    DEFAULT_TRAIN_SIZE,
-    collect_training_data,
-    run_offline_regression,
-)
-from repro.baselines.dac19 import RidgeRegressor, run_dac19
-from repro.baselines.fpl18 import fpl18_settings, run_fpl18
-from repro.baselines.random_search import run_random_search
+Lazy exports (PEP 562): FPL18 runs the GP optimizer, the other methods
+are numpy-only, so importing one baseline must not load the GP stack.
+"""
+
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_TRAIN_SIZE",
@@ -24,3 +19,14 @@ __all__ = [
     "run_offline_regression",
     "run_random_search",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.baselines.ann": ("MLPRegressor",),
+    "repro.baselines.boosting": ("GradientBoostingRegressor", "RegressionTree"),
+    "repro.baselines.common": (
+        "DEFAULT_TRAIN_SIZE", "collect_training_data", "run_offline_regression",
+    ),
+    "repro.baselines.dac19": ("RidgeRegressor", "run_dac19"),
+    "repro.baselines.fpl18": ("fpl18_settings", "run_fpl18"),
+    "repro.baselines.random_search": ("run_random_search",),
+})

@@ -8,33 +8,14 @@ Public surface:
 - Acquisition: :func:`expected_improvement`, :func:`eipv_mc`,
   :func:`ehvi_2d_independent`, :func:`penalized_eipv`
 - The optimizer: :class:`CorrelatedMFBO` + :class:`MFBOSettings`
+
+Every name is a lazy export (PEP 562): importing the package, or a
+numpy-only submodule such as :mod:`repro.core.pareto`, loads no scipy;
+the GP stack (``scipy.linalg``/``optimize``/``special``) arrives with the
+first name or submodule that needs it.
 """
 
-from repro.core.acquisition import (
-    ehvi_2d_independent,
-    eipv_mc,
-    expected_improvement,
-    nondominated_cells_2d,
-    penalized_eipv,
-)
-from repro.core.gp import GaussianProcess
-from repro.core.kernels import RBF, Matern52, StationaryKernel
-from repro.core.multifidelity import (
-    LinearMultiFidelityStack,
-    NonlinearMultiFidelityStack,
-)
-from repro.core.multitask import IndependentMultiObjectiveGP, MultiTaskGP
-from repro.core.optimizer import CorrelatedMFBO, MFBOSettings
-from repro.core.pareto import (
-    default_reference,
-    dominated_boxes,
-    dominates,
-    hvi_batch,
-    hypervolume,
-    pareto_front,
-    pareto_mask,
-)
-from repro.core.result import OptimizationResult, StepRecord
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CorrelatedMFBO",
@@ -62,3 +43,22 @@ __all__ = [
     "pareto_mask",
     "penalized_eipv",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.core.acquisition": (
+        "ehvi_2d_independent", "eipv_mc", "expected_improvement",
+        "nondominated_cells_2d", "penalized_eipv",
+    ),
+    "repro.core.gp": ("GaussianProcess",),
+    "repro.core.kernels": ("RBF", "Matern52", "StationaryKernel"),
+    "repro.core.multifidelity": (
+        "LinearMultiFidelityStack", "NonlinearMultiFidelityStack",
+    ),
+    "repro.core.multitask": ("IndependentMultiObjectiveGP", "MultiTaskGP"),
+    "repro.core.optimizer": ("CorrelatedMFBO", "MFBOSettings"),
+    "repro.core.pareto": (
+        "default_reference", "dominated_boxes", "dominates", "hvi_batch",
+        "hypervolume", "pareto_front", "pareto_mask",
+    ),
+    "repro.core.result": ("OptimizationResult", "StepRecord"),
+})

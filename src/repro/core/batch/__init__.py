@@ -10,21 +10,7 @@ adaptive in-flight target.  Evaluations run on a pool of flow workers
 so fixed-seed runs are reproducible regardless of worker timing.
 """
 
-from repro.core.batch.async_engine import (
-    AsyncState,
-    PendingEval,
-    replay_async,
-    run_async_loop,
-)
-from repro.core.batch.engine import (
-    EvalEngine,
-    EvalJob,
-    EvalOutcome,
-    FlowEvalError,
-    parallel_fidelity_sweep,
-)
-from repro.core.batch.qeipv import believer_fantasies
-from repro.core.batch.workers import resolve_worker_count
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AsyncState",
@@ -39,3 +25,17 @@ __all__ = [
     "resolve_worker_count",
     "run_async_loop",
 ]
+
+# Lazy exports (PEP 562): the sweep pool and the fleet worker import
+# ``workers`` and ``engine`` without the GP stack ``async_engine`` needs.
+__getattr__ = lazy_exports(globals(), {
+    "repro.core.batch.async_engine": (
+        "AsyncState", "PendingEval", "replay_async", "run_async_loop",
+    ),
+    "repro.core.batch.engine": (
+        "EvalEngine", "EvalJob", "EvalOutcome", "FlowEvalError",
+        "parallel_fidelity_sweep",
+    ),
+    "repro.core.batch.qeipv": ("believer_fantasies",),
+    "repro.core.batch.workers": ("resolve_worker_count",),
+})

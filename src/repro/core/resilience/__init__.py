@@ -12,27 +12,7 @@ Three pillars (DESIGN.md Sec. 10):
   ``bench_fleet_chaos``.
 """
 
-from repro.core.resilience.faults import (
-    FaultSpec,
-    FaultyFlow,
-    FaultyTransport,
-    InjectedFlowCrash,
-)
-from repro.core.resilience.journal import (
-    JOURNAL_SCHEMA_VERSION,
-    JournalError,
-    RunJournal,
-    build_async_replay_plan,
-    read_journal,
-)
-from repro.core.resilience.retry import (
-    AttemptFailure,
-    ResilientOutcome,
-    RetryPolicy,
-    evaluate_with_policy,
-    failed_flow_result,
-)
-from repro.core.resilience.signals import terminate_on_signals
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AttemptFailure",
@@ -51,3 +31,20 @@ __all__ = [
     "read_journal",
     "terminate_on_signals",
 ]
+
+# Lazy exports (PEP 562): importing ``signals`` or ``retry`` alone loads
+# no other pillar.
+__getattr__ = lazy_exports(globals(), {
+    "repro.core.resilience.faults": (
+        "FaultSpec", "FaultyFlow", "FaultyTransport", "InjectedFlowCrash",
+    ),
+    "repro.core.resilience.journal": (
+        "JOURNAL_SCHEMA_VERSION", "JournalError", "RunJournal",
+        "build_async_replay_plan", "read_journal",
+    ),
+    "repro.core.resilience.retry": (
+        "AttemptFailure", "ResilientOutcome", "RetryPolicy",
+        "evaluate_with_policy", "failed_flow_result",
+    ),
+    "repro.core.resilience.signals": ("terminate_on_signals",),
+})

@@ -236,7 +236,8 @@ def prune_design_space(
     # Each tree is a group of tied sites with its compatible rows, each
     # free site a group of one with its whole domain.  Expanding the
     # site defaults group by group (first group slowest) writes every
-    # combination; np.unique dedupes and orders the rows like tuples.
+    # combination; a lexsort (first column primary) orders the rows like
+    # tuples and dropping repeats of the previous row dedupes them.
     groups = [
         (list(choices[0]) if choices else [], [list(c.values()) for c in choices])
         for choices in tree_choices
@@ -247,7 +248,9 @@ def prune_design_space(
         n = V.shape[0]
         V = np.repeat(V, len(rows), axis=0)
         V[:, [schema.site_index(key) for key in keys]] = np.tile(table, (n, 1))
-    return [Configuration(tuple(row)) for row in np.unique(V, axis=0).tolist()]
+    V = V[np.lexsort(V.T[::-1])]
+    V = V[np.r_[True, (V[1:] != V[:-1]).any(axis=1)]]
+    return [Configuration(tuple(row)) for row in V.tolist()]
 
 
 def pruning_ratio(kernel: Kernel, schema: DirectiveSchema) -> tuple[int, int]:

@@ -26,7 +26,7 @@ from repro.experiments.options import (
     add_run_options,
     parse_run_options,
 )
-from repro.experiments.parallel import Job, raise_failures, run_jobs
+from repro.experiments.parallel import Job, job_trace_path, raise_failures, run_jobs
 from repro.obs.trace import JsonlTraceWriter
 
 ABLATIONS: dict[str, dict] = {
@@ -111,7 +111,9 @@ def run(
         for repeat in range(repeats)
     ]
     outcomes = run_jobs(
-        jobs, workers=options.workers, cache_dir=options.cache_dir,
+        jobs, workers=options.workers,
+        trace_path=job_trace_path(options.trace_dir, "ablations"),
+        cache_dir=options.cache_dir,
         snapshot_dir=options.journal_dir, resume=options.resume,
     )
     raise_failures(outcomes)

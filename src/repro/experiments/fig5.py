@@ -37,7 +37,7 @@ from repro.experiments.options import (
     add_run_options,
     parse_run_options,
 )
-from repro.experiments.parallel import Job, raise_failures, run_jobs
+from repro.experiments.parallel import Job, job_trace_path, raise_failures, run_jobs
 from repro.hlsim.flow import fidelity_sweep
 from repro.hlsim.reports import ALL_FIDELITIES
 from repro.obs.spans import SpanRecorder
@@ -134,12 +134,9 @@ def run(
             fn=sweep_job, kwargs=dict(name=name, **sweep))
         for name in benchmarks
     ]
-    trace_path = (
-        Path(options.trace_dir) / "fig5.jobs.jsonl"
-        if options.trace_dir else None
-    )
     outcomes = run_jobs(
-        jobs, workers=options.workers, trace_path=trace_path,
+        jobs, workers=options.workers,
+        trace_path=job_trace_path(options.trace_dir, "fig5"),
         cache_dir=options.cache_dir, snapshot_dir=options.journal_dir,
         resume=options.resume,
     )

@@ -38,7 +38,7 @@ from repro.experiments.options import (
     add_run_options,
     parse_run_options,
 )
-from repro.experiments.parallel import method_jobs, raise_failures, run_jobs
+from repro.experiments.parallel import job_trace_path, method_jobs, raise_failures, run_jobs
 
 SCALES = {"smoke": SMOKE_SCALE, "small": SMALL_SCALE, "paper": PAPER_SCALE}
 DEFAULT_BENCHMARKS = ("gemm", "spmv_ellpack")
@@ -99,7 +99,9 @@ def _collect_method_runs(
         journal_dir=options.journal_dir, resume=options.resume,
     )
     outcomes = run_jobs(
-        jobs, workers=options.workers, cache_dir=options.cache_dir,
+        jobs, workers=options.workers,
+        trace_path=job_trace_path(options.trace_dir, "fig8"),
+        cache_dir=options.cache_dir,
         snapshot_dir=options.journal_dir, resume=options.resume,
     )
     raise_failures(outcomes)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -31,10 +31,8 @@ from repro.baselines.ann import MLPRegressor
 from repro.baselines.boosting import GradientBoostingRegressor
 from repro.baselines.common import run_offline_regression
 from repro.baselines.dac19 import run_dac19
-from repro.baselines.fpl18 import fpl18_settings
 from repro.baselines.random_search import run_random_search
 from repro.benchsuite.registry import benchmark_names, get_space
-from repro.core.optimizer import CorrelatedMFBO, MFBOSettings
 from repro.core.pareto import pareto_front
 from repro.core.result import OptimizationResult
 from repro.dse.space import DesignSpace
@@ -42,6 +40,9 @@ from repro.hlsim.flow import HlsFlow
 from repro.hlsim.gtcache import load_or_compute_ground_truth
 from repro.metrics.adrs import adrs
 from repro.obs.trace import JsonlTraceWriter
+
+if TYPE_CHECKING:
+    from repro.core.optimizer import MFBOSettings
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,8 @@ class ExperimentScale:
     ) -> MFBOSettings:
         """Settings for one BO run; ``journal_path`` enables crash-safe
         checkpointing and ``resume=True`` replays an existing journal."""
+        from repro.core.optimizer import MFBOSettings
+
         return MFBOSettings(
             n_init=self.n_init,
             n_iter=self.n_iter,
@@ -220,6 +223,8 @@ def _run_ours(
     journal_path: str | Path | None = None,
     resume: bool = False,
 ) -> OptimizationResult:
+    from repro.core.optimizer import CorrelatedMFBO
+
     optimizer = CorrelatedMFBO(
         ctx.space, ctx.flow,
         settings=scale.bo_settings(seed, journal_path, resume),
@@ -234,6 +239,9 @@ def _run_fpl18(
     journal_path: str | Path | None = None,
     resume: bool = False,
 ) -> OptimizationResult:
+    from repro.baselines.fpl18 import fpl18_settings
+    from repro.core.optimizer import CorrelatedMFBO
+
     settings = fpl18_settings(scale.bo_settings(seed, journal_path, resume))
     optimizer = CorrelatedMFBO(
         ctx.space, ctx.flow, settings=settings, method_name="fpl18",
@@ -422,6 +430,7 @@ def _run_method_grid(
     """
     from repro.experiments.parallel import (
         _group_method_runs,
+        job_trace_path,
         method_jobs,
         print_method_run,
         raise_failures,
@@ -435,9 +444,7 @@ def _run_method_grid(
     )
     outcomes = run_jobs(
         jobs, workers=workers,
-        trace_path=(
-            Path(trace_dir) / f"{trace_name}.jobs.jsonl" if trace_dir else None
-        ),
+        trace_path=job_trace_path(trace_dir, trace_name),
         cache_dir=cache_dir, snapshot_dir=journal_dir, resume=resume,
         on_land=print_method_run if verbose else None,
     )

@@ -303,6 +303,11 @@ def raise_failures(outcomes: list[JobOutcome]) -> None:
     )
 
 
+def job_trace_path(trace_dir: str | Path | None, name: str) -> Path | None:
+    """A driver's job trace, ``{trace_dir}/{name}.jobs.jsonl`` (or none)."""
+    return Path(trace_dir) / f"{name}.jobs.jsonl" if trace_dir else None
+
+
 def _write_job_trace(
     path: str | Path, outcomes: list[JobOutcome], workers: int
 ) -> None:

@@ -31,6 +31,8 @@ instead of corrupting a sweep.
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
+
 __all__ = [
     "BrokerClient",
     "FleetBroker",
@@ -43,23 +45,11 @@ __all__ = [
 
 # Lazy exports (PEP 562): the broker/monitor side must stay importable
 # without numpy/scipy; the worker/executor side pulls the full runtime.
-_LAZY_EXPORTS = {
-    "BrokerClient": ("repro.fleet.client", "BrokerClient"),
-    "FleetBroker": ("repro.fleet.broker", "FleetBroker"),
-    "FleetWorker": ("repro.fleet.worker", "FleetWorker"),
-    "RemoteExecutor": ("repro.fleet.executor", "RemoteExecutor"),
-    "SessionSpec": ("repro.fleet.schedule", "SessionSpec"),
-    "WalWriter": ("repro.fleet.wal", "WalWriter"),
-    "read_wal": ("repro.fleet.wal", "read_wal"),
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module, attr = _LAZY_EXPORTS[name]
-        value = getattr(importlib.import_module(module), attr)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = lazy_exports(globals(), {
+    "repro.fleet.client": ("BrokerClient",),
+    "repro.fleet.broker": ("FleetBroker",),
+    "repro.fleet.worker": ("FleetWorker",),
+    "repro.fleet.executor": ("RemoteExecutor",),
+    "repro.fleet.schedule": ("SessionSpec",),
+    "repro.fleet.wal": ("WalWriter", "read_wal"),
+})

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import ablations, fig5, fig8
-from repro.experiments.harness import SMOKE_SCALE, run_table1
+from repro.experiments.harness import SMOKE_SCALE, TABLE1_METHODS, run_table1
 from repro.experiments.options import RunOptions
 from repro.hlsim.gtcache import GT_SNAPSHOT
 from repro.obs.report import TABLE1_LOG_LINE
@@ -94,6 +94,25 @@ def test_fig8_same_at_one_and_two_workers(cache_dir):
         for w in (1, 2)
     ]
     assert_same(*results)
+
+
+def test_fig8_writes_one_job_record_per_cell(cache_dir, tmp_path):
+    fig8.run((BENCH,), "smoke", verbose=False,
+             options=RunOptions(cache_dir=cache_dir, trace_dir=str(tmp_path)))
+    records = read_trace(tmp_path / "fig8.jobs.jsonl", event="job")
+    assert [(r["benchmark"], r["method"]) for r in records] == [
+        (BENCH, m) for m in TABLE1_METHODS
+    ]
+    assert all(r["ok"] and r["workers"] == 1 for r in records)
+
+
+def test_ablations_writes_one_job_record_per_cell(cache_dir, tmp_path):
+    ablations.run(repeats=1, n_iter=2, candidate_pool=16, n_mc_samples=8,
+                  verbose=False,
+                  options=RunOptions(cache_dir=cache_dir, trace_dir=str(tmp_path)))
+    records = read_trace(tmp_path / "ablations.jobs.jsonl", event="job")
+    assert [r["method"] for r in records] == list(ablations.ABLATIONS)
+    assert all(r["ok"] and r["workers"] == 1 for r in records)
 
 
 @pytest.mark.slow
