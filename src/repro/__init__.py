@@ -42,8 +42,8 @@ __all__ = [
 # Lazy re-exports (PEP 562): importing the package must NOT pull in the
 # optimizer stack (numpy/scipy) — the observability CLIs
 # (``python -m repro.obs.monitor`` / ``.report`` / ``.spans``) live
-# under this package but are stdlib-only by design, so they can tail a
-# sweep from any shell without the heavyweight imports.
+# under this package and import without numpy or scipy; the monitor's
+# first front hypervolume loads numpy and ``repro.core.pareto`` only.
 __getattr__ = lazy_exports(globals(), {
     "repro.core.optimizer": ("CorrelatedMFBO", "MFBOSettings"),
     "repro.core.result": ("OptimizationResult",),

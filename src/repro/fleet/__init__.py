@@ -43,8 +43,9 @@ __all__ = [
     "read_wal",
 ]
 
-# Lazy exports (PEP 562): the broker/monitor side must stay importable
-# without numpy/scipy; the worker/executor side pulls the full runtime.
+# Lazy exports (PEP 562): the broker/monitor side imports without
+# numpy or scipy (numpy loads with the first front it folds); the
+# worker/executor side pulls the full runtime.
 __getattr__ = lazy_exports(globals(), {
     "repro.fleet.client": ("BrokerClient",),
     "repro.fleet.broker": ("FleetBroker",),

@@ -1,4 +1,4 @@
-"""Stdlib-only work-queue broker for the tuning fleet.
+"""Work-queue broker for the tuning fleet.
 
 ::
 
@@ -7,10 +7,11 @@
         [--compact-bytes N] [--auth-key-file PATH] [--port-file PATH]
 
 The broker holds **named job queues** of opaque pickled payloads (it
-never unpickles them — it is pure stdlib and runs anywhere, like the
-monitor).  Workers register with capabilities, then repeatedly *lease*
-a task: a lease grants exclusive execution rights for ``lease_ttl_s``
-seconds, renewable by heartbeat.  A worker that vanishes — SIGKILL,
+never unpickles them, and it starts on the standard library alone, like
+the monitor; numpy loads with the first best-so-far front it folds).
+Workers register with capabilities, then repeatedly *lease* a task: a
+lease grants exclusive execution rights for ``lease_ttl_s`` seconds,
+renewable by heartbeat.  A worker that vanishes — SIGKILL,
 OOM, power loss — simply stops heartbeating; the lease expires and the
 task is re-queued for the next worker.  Because every task in this
 system re-executes bitwise-identically (deterministic flows, seeded
@@ -103,6 +104,7 @@ import argparse
 import base64
 import json
 import os
+import signal
 import sys
 import threading
 import time
@@ -1589,37 +1591,6 @@ def serve(
     )
 
 
-def _termination_guard():
-    """``terminate_on_signals`` when the full runtime is importable,
-    else a stdlib fallback — the broker must run without numpy."""
-    try:
-        import signal
-
-        from repro.core.resilience.signals import terminate_on_signals
-
-        return terminate_on_signals((signal.SIGTERM, signal.SIGINT))
-    except ImportError:
-        import contextlib
-        import signal
-
-        @contextlib.contextmanager
-        def _fallback():
-            def _raise(signum, frame):
-                raise SystemExit(128 + signum)
-
-            old = {
-                s: signal.signal(s, _raise)
-                for s in (signal.SIGTERM, signal.SIGINT)
-            }
-            try:
-                yield
-            finally:
-                for s, handler in old.items():
-                    signal.signal(s, handler)
-
-        return _fallback()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fleet.broker",
@@ -1686,8 +1657,10 @@ def main(argv: list[str] | None = None) -> int:
     if server.port_file is not None:
         server.port_file.write_text(str(server.server_address[1]))
     print(f"fleet broker listening on {server.url}", flush=True)
+    from repro.core.resilience.signals import terminate_on_signals
+
     try:
-        with _termination_guard():
+        with terminate_on_signals((signal.SIGTERM, signal.SIGINT)):
             server.serve_forever()
     except (KeyboardInterrupt, SystemExit):
         pass

@@ -17,7 +17,9 @@ Recording layers (dependency-free, safe on the hot path):
   exportable to Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``) via ``python -m repro.obs.spans``.
 
-Consumer CLIs (stdlib-only — no optimizer imports):
+Consumer CLIs (import without numpy or scipy; the monitor's first
+front hypervolume loads numpy and :mod:`repro.core.pareto`, never
+scipy or the optimizer):
 
 - ``python -m repro.obs.monitor DIR`` — live sweep monitor, tails
   journals/traces in place.

@@ -1,21 +1,19 @@
-"""Running nondominated-front tracking, stdlib-only.
+"""Running nondominated-front tracking over journal ``commit`` records.
 
-The shared Pareto/hypervolume math for every consumer-side view of a
-run's objective space: the live monitor's per-cell HV column, the
-fleet worker's best-so-far heartbeat attachment, and the broker's
-fleet-wide ``/best`` aggregation all fold the same journal ``commit``
-records through :class:`FrontTracker`.
+Every consumer-side view of a run's objective space folds the same
+journal ``commit`` records through :class:`FrontTracker`: the live
+monitor's per-cell HV column, the fleet worker's best-so-far heartbeat
+attachment, and the broker's fleet-wide ``/best`` aggregation.
 
 Objectives are the journal's ``[power_w, delay_us, lut_util]`` triple
 (all minimized; ``delay_us = latency_cycles * clock_ns * 1e-3``).  The
 hypervolume reference point is the componentwise worst point seen plus
-10% (:func:`reference_point`) — comparable across refreshes of one
-tracker, not across trackers.
+10% — comparable across refreshes of one tracker, not across trackers.
 
-Pure python, O(n^2) fronts: fine for the tens-to-hundreds of committed
-points a cell accumulates.  Imports only the standard library (and the
-stdlib-only line parser in :mod:`repro.fleet.wal`) so the broker and
-monitor stay importable without numpy.
+The front and hypervolume are :mod:`repro.core.pareto`'s (paper
+Eq. (6)); they are imported on the first front computation, so this
+module imports without numpy and the broker and monitor load numpy
+only when they first fold a front — never scipy or the optimizer.
 """
 
 from __future__ import annotations
@@ -24,84 +22,7 @@ import math
 
 from repro.fleet.wal import iter_records
 
-__all__ = [
-    "FrontTracker",
-    "hypervolume",
-    "pareto_front",
-    "point_from_commit",
-    "reference_point",
-]
-
-
-def pareto_front(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    """Non-dominated subset (all objectives minimized); O(n^2), fine
-    for the tens-to-hundreds of committed points a cell accumulates."""
-    front: list[tuple[float, ...]] = []
-    for p in points:
-        if any(math.isnan(v) for v in p):
-            continue
-        dominated = False
-        for q in points:
-            if q is p:
-                continue
-            if all(a <= b for a, b in zip(q, p)) and any(
-                a < b for a, b in zip(q, p)
-            ):
-                dominated = True
-                break
-        if not dominated and p not in front:
-            front.append(p)
-    return front
-
-
-def _union_area_2d(
-    boxes: list[tuple[float, float]], rx: float, ry: float
-) -> float:
-    """Area of the union of [x, rx] x [y, ry] boxes (staircase sweep)."""
-    pts = sorted({(x, y) for x, y in boxes if x < rx and y < ry})
-    area = 0.0
-    best_y = ry
-    for x, y in pts:  # ascending x
-        if y < best_y:
-            area += (rx - x) * (best_y - y)
-            best_y = y
-    return area
-
-
-def hypervolume(
-    front: list[tuple[float, ...]], ref: tuple[float, ...]
-) -> float:
-    """Dominated hypervolume of a 3-objective front against ``ref``.
-
-    Slices along the third objective: between consecutive z levels the
-    dominated cross-section is a 2-D union of boxes, so the volume is
-    the sum of (slab height x union area).  Exact, stdlib-only, and
-    O(n^2 log n) — plenty for a monitor refresh.
-    """
-    pts = [p for p in front if all(a < b for a, b in zip(p, ref))]
-    if not pts:
-        return 0.0
-    if len(ref) == 2:
-        return _union_area_2d([(p[0], p[1]) for p in pts], ref[0], ref[1])
-    levels = sorted({p[2] for p in pts}) + [ref[2]]
-    volume = 0.0
-    for lo, hi in zip(levels, levels[1:]):
-        active = [(p[0], p[1]) for p in pts if p[2] <= lo]
-        if active:
-            volume += (hi - lo) * _union_area_2d(active, ref[0], ref[1])
-    return volume
-
-
-def reference_point(
-    points: list[tuple[float, ...]]
-) -> tuple[float, ...] | None:
-    """Componentwise worst + 10% (the monitor's per-cell convention)."""
-    pts = [p for p in points if not any(math.isnan(v) for v in p)]
-    if not pts:
-        return None
-    return tuple(
-        max(p[i] for p in pts) * 1.1 + 1e-12 for i in range(len(pts[0]))
-    )
+__all__ = ["FrontTracker", "point_from_commit"]
 
 
 def _float(value) -> float:
@@ -140,28 +61,33 @@ def point_from_commit(record: dict) -> tuple[float, float, float] | None:
 class FrontTracker:
     """Fold journal lines into a running best-so-far front summary.
 
-    ``feed``/``feed_record`` accumulate valid commit points;
-    :meth:`summary` returns a JSON-able
-    ``{"n", "hv", "best": {power_w, delay_us, lut_util}, "points"}``
-    snapshot — the payload workers attach to segment heartbeats and
-    the broker aggregates per session queue.  ``points`` is the front
-    itself, capped at ``max_points`` (closest-to-ideal kept) so a
-    heartbeat stays small no matter how long the run.
+    ``feed``/``feed_record`` accumulate valid commit points (a point
+    with a NaN or infinite objective is dropped; its commit still
+    counts); :meth:`summary` returns a JSON-able
+    ``{"n", "commits", "hv", "best": {power_w, delay_us, lut_util},
+    "points"}`` snapshot — the payload workers attach to segment
+    heartbeats and the broker aggregates per session queue.
+    ``points`` is the front itself, capped at ``max_points``
+    (closest-to-ideal kept) so a heartbeat stays small no matter how
+    long the run.
     """
 
     def __init__(self) -> None:
         self.points: list[tuple[float, float, float]] = []
         self.commits = 0
 
+    def _add(self, point: tuple[float, ...]) -> bool:
+        if not all(math.isfinite(v) for v in point):
+            return False
+        self.points.append(point)
+        return True
+
     def feed_record(self, record: dict) -> bool:
         """Fold one parsed record; ``True`` if it added a point."""
         if record.get("event") == "commit":
             self.commits += 1
         point = point_from_commit(record)
-        if point is None or any(math.isnan(v) for v in point):
-            return False
-        self.points.append(point)
-        return True
+        return point is not None and self._add(point)
 
     def feed(self, data: str | bytes) -> int:
         """Fold a chunk of newline-separated journal lines (torn and
@@ -169,27 +95,37 @@ class FrontTracker:
         return sum(self.feed_record(record) for record in iter_records(data))
 
     def front(self) -> list[tuple[float, float, float]]:
-        return pareto_front(self.points)
+        """The distinct non-dominated points, lexicographically sorted."""
+        if not self.points:
+            return []
+        from repro.core.pareto import pareto_front
+
+        return [tuple(p) for p in pareto_front(self.points).tolist()]
 
     def summary(self, max_points: int = 64) -> dict:
         """The JSON-able best-so-far snapshot (empty front → n=0)."""
         front = self.front()
-        ref = reference_point(self.points)
-        hv = hypervolume(front, ref) if ref is not None else 0.0
-        if len(front) > max_points:
+        n = len(front)
+        hv = 0.0
+        if front:
+            from repro.core.pareto import hypervolume
+
+            ref = tuple(
+                max(p[i] for p in self.points) * 1.1 + 1e-12
+                for i in range(3)
+            )
+            hv = hypervolume(front, ref)
+        if n > max_points:
             # Keep the points closest to the componentwise ideal, in
-            # ref-normalized coordinates — a stable, deterministic cap.
-            ideal = tuple(
-                min(p[i] for p in front) for i in range(3)
-            )
-            span = tuple(
-                max(r - i, 1e-12) for r, i in zip(ref, ideal)
-            )
+            # ref-normalized coordinates; exact distance ties go to the
+            # smaller point, so the cap never depends on arrival order.
+            ideal = tuple(min(p[i] for p in front) for i in range(3))
+            span = tuple(max(r - i, 1e-12) for r, i in zip(ref, ideal))
             front = sorted(
                 front,
-                key=lambda p: sum(
-                    ((v - i) / s) ** 2
-                    for v, i, s in zip(p, ideal, span)
+                key=lambda p: (
+                    sum(((v - i) / s) ** 2 for v, i, s in zip(p, ideal, span)),
+                    p,
                 ),
             )[:max_points]
         best = None
@@ -200,7 +136,7 @@ class FrontTracker:
                 "lut_util": min(p[2] for p in front),
             }
         return {
-            "n": len(self.front()),
+            "n": n,
             "commits": self.commits,
             "hv": hv,
             "best": best,
@@ -224,8 +160,6 @@ class FrontTracker:
                     triple = tuple(float(v) for v in point)[:3]
                 except (TypeError, ValueError):
                     continue
-                if len(triple) == 3 and not any(
-                    math.isnan(v) for v in triple
-                ):
-                    merged.points.append(triple)
+                if len(triple) == 3:
+                    merged._add(triple)
         return merged.summary()

@@ -37,16 +37,17 @@ for *newly appended* lines and redraws in place:
   the pane, are written to ``--alert-file``, and flip the exit status
   to 1 so a CI wrapper can gate on fleet health.
 
-The monitor deliberately imports **nothing from the hot path** — only
-the standard library and its stdlib-only :mod:`repro.obs` siblings
+The monitor imports **nothing from the hot path** at start-up: only
+the standard library, its :mod:`repro.obs` siblings
 (:mod:`~repro.obs.front`, :mod:`~repro.obs.slo`,
-:mod:`~repro.obs.prom`) plus the stdlib-only log module
-:mod:`repro.fleet.wal`, never :mod:`repro.obs.trace` or anything
-that pulls in numpy/scipy.  It tails raw JSONL through the shared
+:mod:`~repro.obs.prom`) and the log module :mod:`repro.fleet.wal`, none
+of which imports numpy.  The first cell hypervolume loads numpy and
+:mod:`repro.core.pareto` through :class:`~repro.obs.front.FrontTracker`
+— never scipy or the optimizer.  It tails raw JSONL through the shared
 complete-line tail (torn trailing lines of a live file stay unread,
 and a journal rewritten by a resume is detected by shrinkage and
-re-read from the top), so it can run on any machine that sees the files, with zero
-risk of importing numpy/scipy into a login shell.
+re-read from the top), so it can run on any machine that sees the
+files.
 """
 
 from __future__ import annotations
@@ -60,12 +61,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from repro.fleet.wal import iter_records, tail_complete
-from repro.obs.front import (
-    hypervolume,
-    pareto_front,
-    point_from_commit,
-    reference_point,
-)
+from repro.obs.front import FrontTracker, _float
 from repro.obs.prom import metric_value
 from repro.obs.slo import evaluate_rules, parse_rules
 
@@ -75,8 +71,6 @@ __all__ = [
     "MetricsState",
     "PipelineState",
     "SweepState",
-    "pareto_front",
-    "hypervolume",
     "scan_files",
     "render",
     "main",
@@ -108,14 +102,6 @@ class TraceTail:
         return list(iter_records(data))  # a tail never crashes
 
 
-def _float(value) -> float:
-    """Journal floats may be sentinel strings ("NaN"/"Infinity")."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return math.nan
-
-
 # ----------------------------------------------------------------------
 # sweep state
 # ----------------------------------------------------------------------
@@ -129,11 +115,10 @@ class CellState:
         self.label = name
         self.budget: int | None = None  # sum(n_init) + n_iter
         self.phase = "-"
-        self.commits = 0
         self.retries = 0
         self.degrades = 0
         self.failed = 0
-        self.points: list[tuple[float, float, float]] = []
+        self.front = FrontTracker()
 
     def feed(self, record: dict) -> None:
         event = record.get("event")
@@ -147,16 +132,17 @@ class CellState:
             if fp.get("n_iter") is not None:
                 self.budget = int(sum(n_init)) + int(fp["n_iter"])
         elif event == "commit":
-            self.commits += 1
+            self.front.feed_record(record)
             self.phase = record.get("phase", self.phase)
             self.retries += max(0, int(record.get("attempts", 1)) - 1)
             if record.get("degraded"):
                 self.degrades += 1
             if record.get("failed"):
                 self.failed += 1
-            point = point_from_commit(record)
-            if point is not None:
-                self.points.append(point)
+
+    @property
+    def commits(self) -> int:
+        return self.front.commits
 
     @property
     def progress(self) -> str:
@@ -169,13 +155,8 @@ class CellState:
         return f"{self.commits:>3} commits"
 
     def hypervolume(self) -> float | None:
-        pts = [
-            p for p in self.points if not any(math.isnan(v) for v in p)
-        ]
-        if not pts:
-            return None
-        ref = reference_point(pts)
-        return hypervolume(pareto_front(pts), ref)
+        """The front's hypervolume; ``None`` before the first point."""
+        return self.front.summary()["hv"] if self.front.points else None
 
 
 class PipelineState:

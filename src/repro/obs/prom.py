@@ -10,8 +10,8 @@ samples.  This module is the single registry of metric *names* and
 with :func:`render_metrics`; consumers (``repro.obs.scrape``, the SLO
 evaluator, tests) read them back with :func:`parse_metrics`.
 
-Like every consumer-side obs module it imports only the standard
-library, so the broker stays importable on a machine without numpy.
+It imports only the standard library, so the broker imports without
+numpy.
 
 **Histograms** are fixed-bucket and cumulative (each ``le`` bucket
 counts observations ``<= le``; ``+Inf`` equals ``_count``), matching

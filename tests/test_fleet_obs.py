@@ -2,7 +2,8 @@
 
 Covers the stdlib Prometheus exposition helpers (render/parse
 round-trip, histogram buckets, family summing), the best-so-far front
-tracker (Pareto/HV math, torn-line tolerance, fleet-wide merges), the
+tracker (front/HV behaviour, non-finite points, torn-line tolerance,
+fleet-wide merges, bit parity with the pure-python code it replaced), the
 SLO rule grammar and its breach semantics (rate reset clamp, young-
 series stall guard), the scrape sidecar (gap records, per-URL output
 paths, series folding), the broker's /healthz schema regression and
@@ -13,21 +14,18 @@ attribution.
 """
 
 import json
+import math
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.broker import serve
 from repro.fleet.client import BrokerClient
 from repro.fleet.worker import FleetWorker
-from repro.obs.front import (
-    FrontTracker,
-    hypervolume,
-    pareto_front,
-    point_from_commit,
-    reference_point,
-)
+from repro.obs.front import FrontTracker, point_from_commit
 from repro.obs.monitor import MetricsState, SweepState, render
 from repro.obs.monitor import main as monitor_main
 from repro.obs.prom import (
@@ -117,18 +115,26 @@ def _commit(power, cycles, lut, valid=True):
     }
 
 
+def _tracker(*points):
+    tracker = FrontTracker()
+    for power, cycles, lut in points:
+        tracker.feed_record(_commit(power, cycles, lut))
+    return tracker
+
+
 class TestFront:
     def test_pareto_front_drops_dominated(self):
-        points = [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (0.5, 3.0, 1.0)]
-        front = pareto_front(points)
-        assert (2.0, 2.0, 2.0) not in front
-        assert len(front) == 2
+        tracker = _tracker((1.0, 1000, 1.0), (2.0, 2000, 2.0), (0.5, 3000, 1.0))
+        front = tracker.front()
+        assert (2.0, 2000.0, 2.0) not in front
+        assert front == [(0.5, 3000.0, 1.0), (1.0, 1000.0, 1.0)]
+        assert tracker.summary()["n"] == 2
 
     def test_hypervolume_grows_with_better_point(self):
-        base = [(2.0, 2.0, 2.0)]
-        ref = (4.0, 4.0, 4.0)
-        hv0 = hypervolume(base, ref)
-        hv1 = hypervolume(pareto_front(base + [(1.0, 1.0, 1.0)]), ref)
+        tracker = _tracker((2.0, 2000, 2.0), (4.0, 4000, 4.0))
+        hv0 = tracker.summary()["hv"]
+        tracker.feed_record(_commit(1.0, 1000, 1.0))
+        hv1 = tracker.summary()["hv"]
         assert hv1 > hv0 > 0.0
 
     def test_point_from_commit_filters_invalid(self):
@@ -163,7 +169,252 @@ class TestFront:
         assert merged["commits"] == 2
 
     def test_reference_point_needs_points(self):
-        assert reference_point([]) is None
+        # No valid point, no reference point: the summary is empty.
+        tracker = FrontTracker()
+        tracker.feed_record(_commit(1.0, 1000, 0.5, valid=False))
+        assert tracker.summary() == {
+            "n": 0, "commits": 1, "hv": 0.0, "best": None, "points": [],
+        }
+        assert FrontTracker.merge_summaries([])["hv"] == 0.0
+
+    def test_non_finite_point_is_dropped(self):
+        """An ``"Infinity"`` objective (a journal sentinel float) adds
+        no point, so the front and its HV stay finite; its commit still
+        counts."""
+        tracker = _tracker((1.0, 1000, 0.5), (2.0, 500, 0.4))
+        finite = tracker.summary()
+        assert not tracker.feed_record(_commit("Infinity", 500, 0.4))
+        assert not tracker.feed_record(_commit(0.1, "-Infinity", 0.1))
+        summary = tracker.summary()
+        assert summary["commits"] == 4
+        assert summary["n"] == 2 and summary["points"] == finite["points"]
+        assert summary["hv"] == finite["hv"] and math.isfinite(summary["hv"])
+        json.dumps(summary, allow_nan=False)  # no bare Infinity token
+        poisoned = dict(finite, points=finite["points"] + [
+            [math.inf, 500.0, 0.4], [0.1, math.nan, 0.1],
+        ])
+        merged = FrontTracker.merge_summaries([poisoned])
+        assert merged["hv"] == finite["hv"] and merged["n"] == 2
+
+    def test_cap_tie_break_is_arrival_independent(self):
+        """Over ``max_points`` the closest-to-ideal points are kept; an
+        exact distance tie at the cut goes to the smaller point, so a
+        merge keeps the same points whatever the summary order."""
+        # All integer (a, b, c) with a + b + c = 12: 91 mutually
+        # non-dominated points with equal spans, so permuted triples
+        # tie in distance, and one tie group straddles the cut at 64.
+        plane = [
+            (float(a), b, float(12 - a - b))
+            for a in range(13) for b in range(13 - a)
+        ]
+        one, two = _tracker(*plane[::2]), _tracker(*plane[1::2])
+        forward = FrontTracker.merge_summaries([one.summary(), two.summary()])
+        backward = FrontTracker.merge_summaries([two.summary(), one.summary()])
+        assert forward["n"] == 91 and len(forward["points"]) == 64
+        assert forward == backward
+
+
+# ---------------------------------------------------------------------------
+# FrontTracker against the pure-python implementation it replaced
+
+
+def _ref_pareto_front(points):
+    front = []
+    for p in points:
+        if any(math.isnan(v) for v in p):
+            continue
+        dominated = False
+        for q in points:
+            if q is p:
+                continue
+            if all(a <= b for a, b in zip(q, p)) and any(
+                a < b for a, b in zip(q, p)
+            ):
+                dominated = True
+                break
+        if not dominated and p not in front:
+            front.append(p)
+    return front
+
+
+def _ref_union_area_2d(boxes, rx, ry):
+    pts = sorted({(x, y) for x, y in boxes if x < rx and y < ry})
+    area = 0.0
+    best_y = ry
+    for x, y in pts:
+        if y < best_y:
+            area += (rx - x) * (best_y - y)
+            best_y = y
+    return area
+
+
+def _ref_hypervolume(front, ref):
+    pts = [p for p in front if all(a < b for a, b in zip(p, ref))]
+    if not pts:
+        return 0.0
+    levels = sorted({p[2] for p in pts}) + [ref[2]]
+    volume = 0.0
+    for lo, hi in zip(levels, levels[1:]):
+        active = [(p[0], p[1]) for p in pts if p[2] <= lo]
+        if active:
+            volume += (hi - lo) * _ref_union_area_2d(active, ref[0], ref[1])
+    return volume
+
+
+def _ref_summary(points, commits, max_points=64):
+    """The stdlib summary as it was, but for the cap's tie-break: the
+    old sort key broke exact distance ties by arrival order, this one
+    (like the tracker now) by the point itself."""
+    points = [p for p in points if not any(math.isnan(v) for v in p)]
+    front = _ref_pareto_front(points)
+    ref = None
+    if points:
+        ref = tuple(max(p[i] for p in points) * 1.1 + 1e-12 for i in range(3))
+    hv = _ref_hypervolume(front, ref) if ref is not None else 0.0
+    n = len(front)
+    if len(front) > max_points:
+        ideal = tuple(min(p[i] for p in front) for i in range(3))
+        span = tuple(max(r - i, 1e-12) for r, i in zip(ref, ideal))
+        front = sorted(
+            front,
+            key=lambda p: (
+                sum(((v - i) / s) ** 2 for v, i, s in zip(p, ideal, span)),
+                p,
+            ),
+        )[:max_points]
+    best = None
+    if front:
+        best = {
+            "power_w": min(p[0] for p in front),
+            "delay_us": min(p[1] for p in front),
+            "lut_util": min(p[2] for p in front),
+        }
+    return {
+        "n": n, "commits": commits, "hv": hv, "best": best,
+        "points": [list(p) for p in sorted(front)],
+    }
+
+
+def _ref_merge(summaries):
+    points = []
+    for summary in summaries:
+        for point in summary.get("points") or []:
+            triple = tuple(float(v) for v in point)[:3]
+            if len(triple) == 3 and not any(math.isnan(v) for v in triple):
+                points.append(triple)
+    commits = sum(int(summary.get("commits", 0)) for summary in summaries)
+    return _ref_summary(points, commits)
+
+
+def _assert_same_summary(got, want):
+    assert got["hv"].hex() == want["hv"].hex()
+    assert {k: v for k, v in got.items() if k != "hv"} == {
+        k: v for k, v in want.items() if k != "hv"
+    }
+
+
+_KINDS = ("ok", "ok", "ok", "ok", "nan", "invalid", "empty", "step")
+
+
+def _record(kind, point):
+    power, delay, lut = point
+    if kind == "step":
+        return {"event": "step"}
+    if kind == "empty":
+        return {"event": "commit", "reports": []}
+    return {
+        "event": "commit",
+        "reports": [{
+            "valid": kind != "invalid",
+            "power_w": "NaN" if kind == "nan" else power,
+            "latency_cycles": delay, "clock_ns": 1.0, "lut_util": lut,
+        }],
+    }
+
+
+@st.composite
+def _tie_heavy_records(draw, max_size=40):
+    """Commit records over 2–100 distinct levels per axis (ties and
+    duplicates everywhere), mixed with NaN, invalid-report, report-less
+    and non-commit records."""
+    levels = [
+        sorted(set(draw(st.lists(
+            st.floats(0.0, 1e3, allow_nan=False, allow_subnormal=False),
+            min_size=2, max_size=100,
+        ))))
+        for _ in range(3)
+    ]
+    points = draw(st.lists(
+        st.tuples(*(st.sampled_from(axis) for axis in levels)),
+        min_size=1, max_size=max_size,
+    ))
+    kinds = draw(st.lists(
+        st.sampled_from(_KINDS), min_size=len(points), max_size=len(points),
+    ))
+    return [_record(kind, p) for kind, p in zip(kinds, points)]
+
+
+@st.composite
+def _wide_front_records(draw):
+    """Over 64 mutually non-dominated points (integer a + b + c = 60)
+    plus dominated copies, so the summary's cap engages."""
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        min_size=65, max_size=160, unique=True,
+    ))
+    points = [(float(a), float(b), float(60 - a - b)) for a, b in pairs]
+    shadows = draw(st.lists(st.sampled_from(points), max_size=20))
+    points += [(a + 1.0, b, c + 0.5) for a, b, c in shadows]
+    order = draw(st.permutations(range(len(points))))
+    return [_record("ok", points[i]) for i in order]
+
+
+def _fold(records):
+    tracker = FrontTracker()
+    for record in records:
+        tracker.feed_record(record)
+    want_points = [
+        p for p in map(point_from_commit, records) if p is not None
+    ]
+    commits = sum(r.get("event") == "commit" for r in records)
+    return tracker, want_points, commits
+
+
+class TestFrontParity:
+    """The tracker's summaries are bit-equal to the pure-python front
+    and hypervolume it replaced (test-local copies above)."""
+
+    @given(
+        st.one_of(_tie_heavy_records(), _wide_front_records()),
+        st.sampled_from([4, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_summary_matches_reference(self, records, max_points):
+        tracker, points, commits = _fold(records)
+        _assert_same_summary(
+            tracker.summary(max_points),
+            _ref_summary(points, commits, max_points),
+        )
+        if points:
+            assert tracker.front() == sorted(_ref_pareto_front(points))
+
+    @given(
+        st.lists(
+            st.one_of(_tie_heavy_records(max_size=30), _wide_front_records()),
+            min_size=1, max_size=4,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_merge_matches_reference(self, chunks, rng):
+        summaries = [_fold(records)[0].summary() for records in chunks]
+        merged = FrontTracker.merge_summaries(summaries)
+        _assert_same_summary(merged, _ref_merge(summaries))
+        shuffled = list(summaries)
+        rng.shuffle(shuffled)
+        _assert_same_summary(
+            FrontTracker.merge_summaries(shuffled), merged
+        )
 
 
 # ---------------------------------------------------------------------------

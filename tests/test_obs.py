@@ -967,34 +967,25 @@ class TestReport:
 
 
 class TestMonitor:
-    """ISSUE 5 tentpole: the stdlib-only live sweep monitor."""
+    """The live sweep monitor."""
 
     def test_pareto_front(self):
-        pts = [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (0.0, 3.0, 1.0),
-               (math.nan, 0.0, 0.0)]
-        front = obs_monitor.pareto_front(pts)
+        cell = obs_monitor.CellState("cell.journal.jsonl")
+        for power, cycles, lut in [(1.0, 1, 1.0), (2.0, 2, 2.0),
+                                   (0.0, 3, 1.0), ("NaN", 0, 0.0)]:
+            cell.feed({
+                "event": "commit", "reports": [{
+                    "valid": True, "power_w": power,
+                    "latency_cycles": cycles, "clock_ns": 1000.0,
+                    "lut_util": lut,
+                }],
+            })
+        front = cell.front.front()
         assert (1.0, 1.0, 1.0) in front
         assert (0.0, 3.0, 1.0) in front
         assert (2.0, 2.0, 2.0) not in front  # dominated
-        assert not any(math.isnan(p[0]) for p in front)
-
-    def test_hypervolume_known_values(self):
-        assert obs_monitor.hypervolume(
-            [(1.0, 1.0, 1.0)], (2.0, 2.0, 2.0)
-        ) == pytest.approx(1.0)
-        # Two staircase points: 2x1 + 1x1 cross-section, slab height 1.
-        assert obs_monitor.hypervolume(
-            [(1.0, 2.0, 2.0), (2.0, 1.0, 2.0)], (3.0, 3.0, 3.0)
-        ) == pytest.approx(3.0)
-        assert obs_monitor.hypervolume([], (1.0, 1.0, 1.0)) == 0.0
-        # A point outside the reference box contributes nothing.
-        assert obs_monitor.hypervolume(
-            [(5.0, 5.0, 5.0)], (2.0, 2.0, 2.0)
-        ) == 0.0
-        # 2-D fallback.
-        assert obs_monitor.hypervolume(
-            [(1.0, 1.0)], (2.0, 3.0)
-        ) == pytest.approx(2.0)
+        assert len(front) == 2  # the NaN point is dropped
+        assert cell.commits == 4
 
     def test_trace_tail_incremental(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -1041,13 +1032,13 @@ class TestMonitor:
         })
         assert cell.commits == 1 and cell.retries == 2
         assert cell.degrades == 1 and cell.failed == 0
-        assert cell.points == [(1.0, 5.0, 0.25)]  # delay_us = cyc*ns*1e-3
+        assert cell.front.points == [(1.0, 5.0, 0.25)]  # cyc*ns*1e-3
         cell.feed({
             "event": "commit", "phase": "loop", "attempts": 1,
             "reports": [{"valid": False}],
         })
         assert cell.commits == 2
-        assert len(cell.points) == 1  # invalid report adds no point
+        assert len(cell.front.points) == 1  # invalid report adds no point
         # Sentinel floats ("NaN") parse to nan and are excluded from HV.
         cell.feed({
             "event": "commit", "phase": "verify", "attempts": 1,
@@ -1135,10 +1126,12 @@ class TestMonitor:
 
 
 class TestImportIsolation:
-    """The monitor/report CLIs must never import the optimizer stack."""
+    """The monitor/report CLIs and the broker import no numpy and no
+    optimizer stack."""
 
     @pytest.mark.parametrize(
-        "module", ["repro.obs.monitor", "repro.obs.report"]
+        "module",
+        ["repro.obs.monitor", "repro.obs.report", "repro.fleet.broker"],
     )
     def test_cli_module_avoids_hot_path(self, module):
         code = (

@@ -104,10 +104,18 @@ class TestHypervolume:
         assert hypervolume(np.array([[1.0, 1.0]]), np.array([3.0, 2.0])) == (
             pytest.approx(2.0)
         )
+        assert hypervolume(np.array([[1.0, 1.0]]), np.array([2.0, 3.0])) == (
+            pytest.approx(2.0)
+        )
 
     def test_single_point_3d(self):
         hv = hypervolume(np.array([[1.0, 1.0, 1.0]]), np.array([2.0, 3.0, 4.0]))
         assert hv == pytest.approx(1.0 * 2.0 * 3.0)
+        # Two staircase points: 2x1 + 1x1 cross-section, slab height 1.
+        hv = hypervolume(
+            np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0]]), np.full(3, 3.0)
+        )
+        assert hv == pytest.approx(3.0)
 
     def test_dominated_point_adds_nothing(self):
         ref = np.array([4.0, 4.0])
@@ -118,9 +126,12 @@ class TestHypervolume:
     def test_point_beyond_reference_ignored(self):
         ref = np.array([2.0, 2.0])
         assert hypervolume(np.array([[3.0, 3.0]]), ref) == 0.0
+        ref = np.full(3, 2.0)
+        assert hypervolume(np.array([[5.0, 5.0, 5.0]]), ref) == 0.0
 
     def test_empty_front(self):
         assert hypervolume(np.empty((0, 2)), np.array([1.0, 1.0])) == 0.0
+        assert hypervolume(np.empty((0, 3)), np.ones(3)) == 0.0
 
     @given(point_sets())
     @settings(max_examples=40, deadline=None)
