@@ -111,3 +111,24 @@ def test_eipv_mc(benchmark):
             rng=np.random.default_rng(0), n_samples=64, boxes=boxes,
         )
     )
+
+
+def test_eipv_mc_acquisition_shape(benchmark):
+    """One fidelity's acquisition call at the paper protocol: 256
+    candidates x 96 MC samples against the 31-box front of
+    ``test_hvi_batch_acquisition_shape``.  Its work is above the inline
+    threshold, so the candidates split over the helper thread(s)."""
+    rng = np.random.default_rng(6)
+    front = pareto_front(rng.uniform(size=(20, 3)))
+    ref = np.full(3, 1.3)
+    boxes = dominated_boxes(front, ref)
+    assert boxes.shape[0] == 31
+    means = rng.uniform(size=(256, 3))
+    A = 0.1 * rng.normal(size=(256, 3, 3))
+    covs = A @ A.transpose(0, 2, 1) + 1e-4 * np.eye(3)
+    benchmark(
+        lambda: eipv_mc(
+            means, covs, front, ref,
+            rng=np.random.default_rng(0), n_samples=96, boxes=boxes,
+        )
+    )

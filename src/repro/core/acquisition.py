@@ -15,10 +15,14 @@
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 
 import numpy as np
 from scipy.special import ndtr
 
+from repro.core.batch.workers import compute_threads
 from repro.core.pareto import dominated_boxes, hvi_batch, pareto_mask
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
@@ -165,6 +169,43 @@ def ehvi_2d_independent(
 # ----------------------------------------------------------------------
 
 
+#: Below this much work (candidates × samples × boxes) a call scores
+#: inline: handing blocks to the helper pool and back costs ~0.3 ms,
+#: which splitting wins back only above about this size (2-core x86).
+_INLINE_WORK = 1 << 16
+
+_helper_lock = threading.Lock()
+_helper_pool = None  # ThreadPoolExecutor, created by the first split call
+
+
+def _helpers():
+    """The helper thread pool, created on first use."""
+    global _helper_pool
+    with _helper_lock:
+        if _helper_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper_pool = ThreadPoolExecutor(
+                max_workers=max(1, compute_threads() - 1),
+                thread_name_prefix="eipv",
+            )
+        return _helper_pool
+
+
+def _forget_helper_pool() -> None:
+    """Drop the helper pool in a fork child.  The child inherits the
+    executor but none of its threads, while the executor's idle count
+    still says a worker is waiting: a submit would start no thread and
+    the call would hang."""
+    global _helper_pool, _helper_lock
+    _helper_pool = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper_pool)
+
+
 def eipv_mc(
     means: np.ndarray,
     covs: np.ndarray,
@@ -181,28 +222,80 @@ def eipv_mc(
     marginal variances, used by the FPL18 baseline).  A single standard-
     normal draw is shared across candidates (common random numbers), so
     the argmax over candidates is far less noisy than independent draws
-    at the same sample count.  A non-finite covariance in either form
-    raises :class:`ValueError` rather than sampling NaN.
+    at the same sample count.  A non-finite covariance in either form,
+    or ``n_samples < 1``, raises :class:`ValueError` rather than
+    returning NaN scores.
+
+    The draw and the Cholesky factors (whose jitter scale is batch-wide)
+    are made for the whole batch on the calling thread.  The per-
+    candidate scoring is then split into contiguous candidate blocks,
+    one per visible CPU: the first runs on the calling thread and the
+    rest on a helper thread pool.  Each candidate's score comes from the
+    same operands by the same operations at any block count, so the
+    split never changes a bit.  Small calls (under ``_INLINE_WORK``)
+    and process-pool workers score inline.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float))
     n, m = means.shape
     covs = np.asarray(covs, dtype=float)
     if not np.isfinite(covs).all():
         raise ValueError("posterior covariances must be finite")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if boxes is None:
         boxes = dominated_boxes(front, ref)
     z = rng.standard_normal((n_samples, m))
     if covs.ndim == 2:  # independent marginals
-        scale = np.sqrt(np.clip(covs, 0.0, None))  # (n, M)
-        samples = means[:, None, :] + scale[:, None, :] * z[None, :, :]
+        factor = np.sqrt(np.clip(covs, 0.0, None))  # (n, M)
     else:
         if covs.shape != (n, m, m):
             raise ValueError(f"covs shape {covs.shape} incompatible with means")
-        chol = _batched_cholesky(covs)
-        samples = means[:, None, :] + np.einsum("nij,sj->nsi", chol, z)
-    flat = samples.reshape(n * n_samples, m)
+        factor = _batched_cholesky(covs)
+    blocks = 1
+    if n * n_samples * max(1, boxes.shape[0]) >= _INLINE_WORK:
+        blocks = min(compute_threads(), n)
+    if blocks <= 1:
+        return _score_block(means, factor, z, front, ref, boxes)
+    pool = _helpers()
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    # Each helper block runs in a copy of this thread's context, so it
+    # keeps the caller's ``np.errstate``.
+    futures = [
+        pool.submit(
+            contextvars.copy_context().run, _score_block,
+            means[lo:hi], factor[lo:hi], z, front, ref, boxes,
+        )
+        for lo, hi in zip(edges[1:-1], edges[2:])
+    ]
+    try:
+        first = _score_block(
+            means[: edges[1]], factor[: edges[1]], z, front, ref, boxes
+        )
+    finally:  # never leave a block running past the call
+        rest = [future.result() for future in futures]
+    return np.concatenate([first] + rest)
+
+
+def _score_block(
+    means: np.ndarray,
+    factor: np.ndarray,
+    z: np.ndarray,
+    front: np.ndarray,
+    ref: np.ndarray,
+    boxes: np.ndarray,
+) -> np.ndarray:
+    """EIPV of one candidate block: ``factor`` is its Cholesky factors
+    (k, M, M) or its marginal std-devs (k, M)."""
+    k, m = means.shape
+    if factor.ndim == 2:
+        samples = means[:, None, :] + factor[:, None, :] * z[None, :, :]
+    else:
+        samples = means[:, None, :] + np.einsum("nij,sj->nsi", factor, z)
+    flat = samples.reshape(k * z.shape[0], m)
+    # ``hvi_batch`` by its module-level name, so a rebinding (a tracer)
+    # sees every block's call.
     improvements = hvi_batch(flat, front, ref, boxes=boxes)
-    return improvements.reshape(n, n_samples).mean(axis=1)
+    return improvements.reshape(k, z.shape[0]).mean(axis=1)
 
 
 def _batched_cholesky(covs: np.ndarray) -> np.ndarray:

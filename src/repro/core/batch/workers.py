@@ -6,6 +6,11 @@ accept a user-supplied worker count from a CLI flag.  A bad value
 (``--workers 0``, a negative number, or more workers than the machine
 has CPUs) should degrade with a warning, not crash a sweep that may
 have hours of cached ground truth behind it.
+
+A process that is itself one worker of a process pool marks itself
+with :func:`mark_pool_worker` (the pool's initializer); its in-process
+splits (the acquisition's helper thread) then stay inline, so
+cell-level parallelism does not oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 import os
 import warnings
 
-__all__ = ["resolve_worker_count"]
+__all__ = ["compute_threads", "mark_pool_worker", "resolve_worker_count"]
+
+_pool_worker = False
 
 
 def _cpu_count() -> int:
@@ -21,6 +28,18 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
+
+
+def mark_pool_worker() -> None:
+    """Process-pool initializer: this process is one worker of a pool."""
+    global _pool_worker
+    _pool_worker = True
+
+
+def compute_threads() -> int:
+    """Threads one in-process computation may split over: the visible
+    CPUs, or one in a pool worker (the pool already fills the cores)."""
+    return 1 if _pool_worker else _cpu_count()
 
 
 def resolve_worker_count(workers: int, label: str = "workers") -> int:

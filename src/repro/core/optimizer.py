@@ -170,6 +170,10 @@ class MFBOSettings:
             raise ValueError("n_iter must be non-negative")
         if self.invalid_penalty <= 1.0:
             raise ValueError("invalid_penalty must exceed 1")
+        if self.n_mc_samples < 1:
+            raise ValueError("n_mc_samples must be at least 1")
+        if self.candidate_pool is not None and self.candidate_pool < 1:
+            raise ValueError("candidate_pool must be at least 1 (or None)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.inflight_target is not None and self.inflight_target < 1:

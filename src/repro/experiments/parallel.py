@@ -50,7 +50,7 @@ from typing import Any, Callable, Mapping
 
 import multiprocessing
 
-from repro.core.batch.workers import resolve_worker_count
+from repro.core.batch.workers import mark_pool_worker, resolve_worker_count
 from repro.core.resilience.signals import terminate_on_signals
 from repro.fleet.wal import durable_replace
 from repro.hlsim.gtcache import GT_SNAPSHOT
@@ -253,9 +253,12 @@ def run_jobs(
             for index, job in pending:
                 land(index, _invoke(job, time.time()))
     else:
+        # The workers fill the cores, so each scores its acquisition
+        # inline rather than on a helper thread.
         pool = ProcessPoolExecutor(
             max_workers=min(workers, len(pending)),
             mp_context=_pool_context(),
+            initializer=mark_pool_worker,
         )
         try:
             with terminate_on_signals():

@@ -1,10 +1,23 @@
 """Tests for EI, cell decomposition, EIPV and the PEIPV penalty."""
 
+import concurrent.futures
+import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import acquisition
 from repro.core.acquisition import (
     _batched_cholesky,
     _norm_pdf,
@@ -15,7 +28,9 @@ from repro.core.acquisition import (
     nondominated_cells_2d,
     penalized_eipv,
 )
-from repro.core.pareto import hypervolume, pareto_front
+from repro.core.pareto import dominated_boxes, hypervolume, pareto_front
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _edge_draws(n: int) -> np.ndarray:
@@ -280,6 +295,231 @@ class TestEIPV:
             covs[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             eipv_mc(means, covs, front, ref, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_empty_monte_carlo_rejected(self, setup, n_samples):
+        front, ref, means, variances = setup
+        with pytest.raises(ValueError, match="n_samples"):
+            eipv_mc(means, variances, front, ref,
+                    rng=np.random.default_rng(0), n_samples=n_samples)
+
+
+def _eipv_split(blocks, inline_work, *args, seed, **kwargs):
+    """``eipv_mc`` with its block count and inline threshold forced."""
+    with mock.patch.object(acquisition, "compute_threads", lambda: blocks), \
+            mock.patch.object(acquisition, "_INLINE_WORK", inline_work):
+        return eipv_mc(*args, rng=np.random.default_rng(seed), **kwargs)
+
+
+def _posterior(rng, n, m, dense):
+    means = rng.uniform(size=(n, m))
+    if dense:
+        A = 0.1 * rng.normal(size=(n, m, m))
+        return means, A @ A.transpose(0, 2, 1) + 1e-4 * np.eye(m)
+    return means, rng.uniform(0.0, 0.05, size=(n, m))
+
+
+class TestCandidateSplit:
+    """The candidate blocks scored on helper threads give the inline bits."""
+
+    BLOCKS = (2, 3, 7)
+    INLINE = 1 << 62  # no call reaches it: everything scores inline
+
+    def _assert_split_bitwise(self, args, seed, n_samples, inline_work):
+        kwargs = dict(seed=seed, n_samples=n_samples)
+        want = _eipv_split(1, self.INLINE, *args, **kwargs)
+        for blocks in self.BLOCKS:
+            got = _eipv_split(blocks, inline_work, *args, **kwargs)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), blocks
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 40),
+        n_front=st.integers(0, 10),
+        n_samples=st.integers(1, 48),
+        dense=st.booleans(),
+        split_small=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_block_count_same_bits(
+        self, seed, m, n, n_front, n_samples, dense, split_small
+    ):
+        # ``split_small`` drops the inline threshold so these small
+        # calls really split; otherwise they stay under it and inline.
+        rng = np.random.default_rng(seed)
+        ref = np.full(m, 1.3)
+        front = pareto_front(rng.uniform(size=(n_front, m)))
+        means, covs = _posterior(rng, n, m, dense)
+        inline_work = 0 if split_small else acquisition._INLINE_WORK
+        self._assert_split_bitwise(
+            (means, covs, front, ref), seed, n_samples, inline_work
+        )
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("n", [1, 255, 256])
+    def test_acquisition_size_above_threshold(self, dense, n):
+        rng = np.random.default_rng(n)
+        ref = np.full(3, 1.3)
+        front = pareto_front(rng.uniform(size=(40, 3)))
+        boxes = dominated_boxes(front, ref)
+        means, covs = _posterior(rng, n, 3, dense)
+        if n > 1:
+            assert n * 96 * len(boxes) >= acquisition._INLINE_WORK
+        self._assert_split_bitwise(
+            (means, covs, front, ref), seed=n, n_samples=96,
+            inline_work=acquisition._INLINE_WORK,
+        )
+
+    def test_cholesky_jitter_scale_stays_batch_wide(self):
+        # Candidate 0 is slightly indefinite and climbs the jitter
+        # ladder, whose scale is the batch's mean diagonal.  The other
+        # candidates' variances are 1e4 times larger, so a factor taken
+        # over the first block alone would use another jitter.
+        rng = np.random.default_rng(5)
+        n, m = 12, 3
+        A = rng.normal(size=(n, m, m))
+        covs = 1e4 * (A @ A.transpose(0, 2, 1) + 0.1 * np.eye(m))
+        c = 1.0 + 1e-12
+        covs[0] = [[1.0, c, 0.0], [c, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        head = _batched_cholesky(covs[:2])[0]
+        assert head.tobytes() != _batched_cholesky(covs)[0].tobytes()
+        means = rng.uniform(size=(n, m))
+        ref = np.full(m, 1.3)
+        front = pareto_front(rng.uniform(size=(8, m)))
+        self._assert_split_bitwise(
+            (means, covs, front, ref), seed=5, n_samples=32, inline_work=0
+        )
+
+
+def _acquisition_case():
+    rng = np.random.default_rng(11)
+    ref = np.full(3, 1.3)
+    front = pareto_front(rng.uniform(size=(40, 3)))
+    means, covs = _posterior(rng, 256, 3, dense=True)
+    return means, covs, front, ref
+
+
+def test_concurrent_callers_share_one_helper_pool():
+    """Callers on several threads at once (more than the cores, with
+    rapid thread switches) each get the inline bits, and the pool they
+    race to create on first use is created once."""
+    args = _acquisition_case()
+    want = _eipv_split(1, TestCandidateSplit.INLINE, *args, seed=3,
+                       n_samples=96).tobytes()
+    results = {}
+    created = []
+
+    class SlowPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *a, **k):
+            time.sleep(0.05)  # widens the check-then-create window
+            super().__init__(*a, **k)
+            created.append(self)
+
+    def call(i):
+        got = eipv_mc(*args, rng=np.random.default_rng(3), n_samples=96)
+        results[i] = got.tobytes()
+
+    interval = sys.getswitchinterval()
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+    with mock.patch.object(acquisition, "_helper_pool", None), \
+            mock.patch.object(acquisition, "compute_threads", lambda: 3), \
+            mock.patch.object(concurrent.futures, "ThreadPoolExecutor",
+                              SlowPool):
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in created:
+                pool.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert list(results.values()) == [want] * len(threads)
+    assert len(created) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fork_child_gets_its_own_helper_pool():
+    """A child forked after the parent's helper pool started scores too.
+
+    The child inherits the executor without its threads; unless the
+    pool is dropped at fork, its submit starts no thread and waits
+    forever.
+    """
+    args = _acquisition_case()
+    want = _eipv_split(2, acquisition._INLINE_WORK, *args, seed=3,
+                       n_samples=96)
+    assert acquisition._helper_pool is not None
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: score, send the bytes, leave without cleanup
+        try:
+            os.close(read_end)
+            got = _eipv_split(2, acquisition._INLINE_WORK, *args, seed=3,
+                              n_samples=96)
+            with os.fdopen(write_end, "wb") as out:
+                out.write(got.tobytes())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        data = b""
+        with os.fdopen(read_end, "rb") as inp:
+            while True:
+                ready, _, _ = select.select([inp], [], [], 60.0)
+                assert ready, "fork child hung in eipv_mc"
+                chunk = os.read(inp.fileno(), 1 << 16)
+                if not chunk:
+                    break
+                data += chunk
+    finally:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        os.waitpid(pid, 0)
+    assert data == want.tobytes()
+
+
+def test_pooled_cells_after_inline_cell_with_helper_pool(tmp_path):
+    """``run_jobs(workers=2)`` forks a parent whose helper pool is live.
+
+    The parent runs an inline ``ours`` cell with the split forced on,
+    so its helper pool exists; the pooled rerun's workers inherit the
+    forced split, must still finish, and must give the same ADRS.
+    """
+    script = textwrap.dedent(f"""
+        import dataclasses
+        from repro.core import acquisition
+        from repro.experiments.harness import SMOKE_SCALE, run_benchmark
+        acquisition.compute_threads = lambda: 2
+        acquisition._INLINE_WORK = 0
+        scale = dataclasses.replace(SMOKE_SCALE, n_repeats=2)
+        kw = dict(methods=("ours",), scale=scale, cache_dir={str(tmp_path)!r})
+        inline = run_benchmark("spmv_ellpack", **kw)["ours"]
+        assert acquisition._helper_pool is not None
+        pooled = run_benchmark("spmv_ellpack", workers=2, **kw)["ours"]
+        assert [r.adrs for r in inline] == [r.adrs for r in pooled]
+        print("ok")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # A session of its own, so a hang kills the pool workers too.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("pooled cells hung after the parent's helper pool started")
+    assert proc.returncode == 0, err
+    assert out.strip().endswith("ok")
 
 
 class TestPenalty:

@@ -82,6 +82,20 @@ class TestSettings:
         with pytest.raises(ValueError, match="invalid_penalty"):
             MFBOSettings(invalid_penalty=1.0)
 
+    @pytest.mark.parametrize("n_mc_samples", [0, -3])
+    def test_rejects_empty_monte_carlo(self, n_mc_samples):
+        # Zero samples used to average an empty slice: NaN scores that
+        # argmax picked silently.
+        with pytest.raises(ValueError, match="n_mc_samples"):
+            MFBOSettings(n_mc_samples=n_mc_samples)
+
+    def test_rejects_empty_candidate_pool(self):
+        with pytest.raises(ValueError, match="candidate_pool"):
+            MFBOSettings(candidate_pool=0)
+
+    def test_unlimited_candidate_pool_allowed(self):
+        assert MFBOSettings(candidate_pool=None).candidate_pool is None
+
     def test_linear_correlated_unsupported(self, space, flow):
         settings = quick_settings(correlated=True, nonlinear=False)
         with pytest.raises(ValueError, match="linear"):

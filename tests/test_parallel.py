@@ -45,6 +45,12 @@ def _ok_job(value: int) -> int:
     return value * 2
 
 
+def _threads_job() -> int:
+    from repro.core.batch.workers import compute_threads
+
+    return compute_threads()
+
+
 def _quad(theta, offset):
     """Picklable quadratic objective for restart-pool tests."""
     delta = theta - offset
@@ -115,6 +121,13 @@ class TestParallelEngine:
     def test_prewarm_dedups(self, tmp_path):
         prewarm_contexts([BENCH, BENCH], cache_dir=tmp_path)
         assert BenchmarkContext.peek(BENCH) is not None
+
+    @pytest.mark.skipif(os.cpu_count() < 2, reason="needs 2 CPUs for a pool")
+    def test_pool_workers_compute_inline(self):
+        # The pool fills the cores: a worker splits nothing over threads.
+        jobs = [Job("b", "m", r, _threads_job) for r in range(2)]
+        outcomes = run_jobs(jobs, workers=2, prewarm=False)
+        assert [o.value for o in outcomes] == [1, 1]
 
     def test_zero_workers_clamped_with_warning(self):
         jobs = [
