@@ -43,7 +43,7 @@ __all__ = [
 # optimizer stack (numpy/scipy) — the observability CLIs
 # (``python -m repro.obs.monitor`` / ``.report`` / ``.spans``) live
 # under this package and import without numpy or scipy; the monitor's
-# first front hypervolume loads numpy and ``repro.core.pareto`` only.
+# first cell hypervolume loads numpy and ``repro.core.pareto`` only.
 __getattr__ = lazy_exports(globals(), {
     "repro.core.optimizer": ("CorrelatedMFBO", "MFBOSettings"),
     "repro.core.result": ("OptimizationResult",),

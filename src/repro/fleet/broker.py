@@ -7,8 +7,8 @@
         [--compact-bytes N] [--auth-key-file PATH] [--port-file PATH]
 
 The broker holds **named job queues** of opaque pickled payloads (it
-never unpickles them, and it starts on the standard library alone, like
-the monitor; numpy loads with the first best-so-far front it folds).
+never unpickles them, and it runs on the standard library alone, like
+the monitor).
 Workers register with capabilities, then repeatedly *lease* a task: a
 lease grants exclusive execution rights for ``lease_ttl_s`` seconds,
 renewable by heartbeat.  A worker that vanishes — SIGKILL,
@@ -70,7 +70,7 @@ replays the streamed prefix instead of re-running from step 0.
 
 **Authenticated wire.**  Started with a shared key (``--auth-key-file``
 or the ``REPRO_FLEET_AUTH_KEY`` / ``..._FILE`` env vars), every request
-except ``/health``/``/healthz``/``/metrics``/``/best`` must carry a
+except ``/health``/``/healthz``/``/metrics`` must carry a
 valid ``X-Repro-Auth`` header — a timestamped, nonce-bearing HMAC
 (:func:`repro.fleet.wire.sign_request`).  Stale timestamps (outside
 the freshness window) and reused nonces are rejected like bad MACs, so
@@ -85,9 +85,8 @@ holding the fleet key.
 text — latency histograms per endpoint (whose counts are also the
 request counters), queue depth / in-flight / oldest-queued-age gauges,
 lease-to-complete and WAL-fsync histograms — all thread-safe
-:class:`repro.obs.prom.Histogram` instances.  ``/best`` serves the fleet-wide
-best-so-far nondominated front per session queue, folded from the
-front summaries workers attach to segment heartbeats.  An optional
+:class:`repro.obs.prom.Histogram` instances; the wall-clock benchmark
+reads its counters and latency sums.  An optional
 ``--trace-file`` records request spans (``broker.submit`` /
 ``broker.lease`` / ``broker.complete``) into the schema-v7 span trace;
 each span carries the submitting session's propagated trace context
@@ -108,7 +107,6 @@ import signal
 import sys
 import threading
 import time
-import urllib.parse
 import uuid
 from collections import deque
 from contextlib import nullcontext
@@ -127,7 +125,6 @@ from repro.fleet.wire import (
     verify_request_auth,
     wire_fingerprint,
 )
-from repro.obs.front import FrontTracker
 from repro.obs.prom import (
     FSYNC_BUCKETS_S,
     LATENCY_BUCKETS_S,
@@ -259,15 +256,12 @@ class FleetBroker:
             setattr(self, name, 0)
         self.wal_records = 0  # this process only
         self._started = self._clock()
-        # Telemetry plane: per-endpoint request latency, the
-        # lease-to-complete and WAL-fsync histograms, and the
-        # best-so-far aggregation workers feed via heartbeats.  All
-        # read-side — dispatch and WAL contents never depend on them.
+        # Telemetry: per-endpoint request latency and the
+        # lease-to-complete and WAL-fsync histograms.  Read-side only —
+        # dispatch and WAL contents never depend on them.
         self.request_latency: dict[str, Histogram] = {}
         self.lease_to_complete = Histogram(LEASE_BUCKETS_S)
         self.wal_fsync = Histogram(FSYNC_BUCKETS_S)
-        self._task_fronts: dict[str, dict] = {}  # task_id -> summary
-        self._queue_best: dict[str, dict] = {}  # queue -> merged summary
         self._spans = None
         self._trace_writer = None
         if trace_path is not None:
@@ -847,7 +841,6 @@ class FleetBroker:
         segment: bytes | None = None,
         reset: bool = False,
         offset: int | None = None,
-        front: dict | None = None,
     ) -> bool:
         """Renew one lease; ``False`` means it already expired (stop
         working — the task has been or will be re-issued).
@@ -856,12 +849,6 @@ class FleetBroker:
         they are buffered (and WAL-logged) against the task so a
         re-issued lease can resume mid-cell.  A segment on a dead lease
         is dropped — the previous buffer is exactly the resume prefix.
-
-        ``front`` is the worker's running best-so-far front summary
-        (:meth:`repro.obs.front.FrontTracker.summary`) for the task —
-        folded into the fleet-wide per-queue aggregate ``/best``
-        serves.  Telemetry only: malformed summaries are dropped, and
-        a heartbeat never fails over its front.
         """
         now = self._clock()
         with self._lock:
@@ -885,32 +872,7 @@ class FleetBroker:
                     reset=bool(reset), offset=offset,
                     data_b64=base64.b64encode(segment or b"").decode(),
                 )
-            if isinstance(front, dict):
-                self._fold_front(task_id, task.queue, front)
             return True
-
-    def _fold_front(self, task_id: str, queue: str, front: dict) -> None:
-        """Fold one task's front summary into the queue's best-so-far
-        (lock held).  A hypervolume improvement is journaled as a
-        ``best`` WAL record for the monitor's fleet pane."""
-        self._task_fronts[task_id] = front
-        summaries = [
-            summary
-            for tid, summary in self._task_fronts.items()
-            if (t := self._tasks.get(tid)) is not None and t.queue == queue
-        ]
-        try:
-            merged = FrontTracker.merge_summaries(summaries)
-        except Exception:
-            return  # a malformed summary never fails a heartbeat
-        previous = self._queue_best.get(queue)
-        merged["t"] = self._wallclock()
-        self._queue_best[queue] = merged
-        if previous is None or merged["hv"] > previous.get("hv", 0.0):
-            self._log(
-                "best", queue=queue, hv=merged["hv"], n=merged["n"],
-                commits=merged.get("commits", 0),
-            )
 
     def journal(self, task_id: str, grant: bool = False) -> tuple[bytes, int]:
         """``(buffered_journal_bytes, commits)`` streamed for one task.
@@ -1048,26 +1010,11 @@ class FleetBroker:
                 )
         hist.observe(dur_s)
 
-    def best(self) -> dict:
-        """Fleet-wide best-so-far per session queue (``/best``).
-
-        ``{"queues": {queue: {n, hv, best, points, commits, t}}}`` —
-        the per-queue merge of every worker's heartbeat front summary.
-        Telemetry only; resets on broker restart.
-        """
-        with self._lock:
-            return {
-                "queues": {
-                    queue: dict(summary)
-                    for queue, summary in sorted(self._queue_best.items())
-                },
-            }
-
     def metrics_text(self) -> str:
         """The Prometheus exposition body for ``/metrics``.
 
         Families and buckets are the registry in DESIGN.md Sec. 15;
-        names are stable — dashboards and SLO rules key on them.
+        names are stable — the wall-clock benchmark keys on them.
         """
         now_wall = self._wallclock()
         with self._lock:
@@ -1089,14 +1036,6 @@ class FleetBroker:
                     and t.submitted_wall is not None
                 ]
                 oldest.append(({"queue": q}, max(ages) if ages else 0.0))
-            best_hv = [
-                ({"queue": q}, summary.get("hv", 0.0))
-                for q, summary in sorted(self._queue_best.items())
-            ]
-            best_n = [
-                ({"queue": q}, summary.get("n", 0))
-                for q, summary in sorted(self._queue_best.items())
-            ]
             counters = {**self._counters(), "wal_records": self.wal_records}
             workers = len(self._workers)
             latency_items = sorted(self.request_latency.items())
@@ -1146,11 +1085,6 @@ class FleetBroker:
                   "Workers ever registered.", workers),
             gauge("fleet_uptime_seconds",
                   "Broker uptime.", self._clock() - self._started),
-            gauge("fleet_best_hypervolume",
-                  "Fleet-wide best-so-far front hypervolume, by queue.",
-                  best_hv),
-            gauge("fleet_best_front_size",
-                  "Fleet-wide best-so-far front size, by queue.", best_n),
             histogram_family(
                 "fleet_request_latency_seconds",
                 "HTTP request handling latency, by endpoint.",
@@ -1250,7 +1184,8 @@ class _Handler(BaseHTTPRequestHandler):
     Every request must carry the wire fingerprint header — a mismatched
     peer (version skew) is rejected with ``409`` before any payload is
     touched — and, when the broker holds a shared key, a valid request
-    HMAC (``401`` otherwise).  ``/health`` and ``/healthz`` stay open.
+    HMAC (``401`` otherwise).  ``/health``, ``/healthz`` and
+    ``/metrics`` stay open: they serve derived telemetry only.
     """
 
     protocol_version = "HTTP/1.1"
@@ -1355,9 +1290,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "text/plain; version=0.0.4",
             )
             return
-        if path == "/best":
-            self._json(200, self.broker.best())
-            return
         if not self._check_auth("GET", b""):
             return
         if path == "/stats":
@@ -1445,15 +1377,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/heartbeat":
             # Segment-bearing heartbeats put the lease in the query and
             # the raw journal bytes in the body; plain renewals still
-            # send the original JSON body.  ``front`` (URL-encoded
-            # JSON) is the worker's best-so-far summary for the task.
-            front = None
-            front_text = params.get("front")
-            if front_text:
-                try:
-                    front = json.loads(urllib.parse.unquote_plus(front_text))
-                except ValueError:
-                    front = None  # telemetry never fails a heartbeat
+            # send the original JSON body.
             lease_id = params.get("lease_id")
             if lease_id is not None:
                 offset = params.get("offset") or None
@@ -1461,13 +1385,10 @@ class _Handler(BaseHTTPRequestHandler):
                     lease_id, segment=body or None,
                     reset=params.get("reset") == "1",
                     offset=None if offset is None else int(offset),
-                    front=front,
                 )
             else:
                 msg = json.loads(body or b"{}")
-                ok = self.broker.heartbeat(
-                    msg.get("lease_id", ""), front=front
-                )
+                ok = self.broker.heartbeat(msg.get("lease_id", ""))
             self._json(200 if ok else 410, {"ok": ok})
         elif path == "/complete":
             try:

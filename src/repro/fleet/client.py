@@ -341,30 +341,24 @@ class BrokerClient:
         segment: bytes | None = None,
         reset: bool = False,
         offset: int | None = None,
-        front: dict | None = None,
     ) -> bool:
         """Renew one lease, optionally shipping new cell-journal bytes.
 
         ``offset`` is the segment's start position in the worker's
         stream (bytes acknowledged since the last reset) — the broker
         uses it to drop re-delivered bytes when a retry or duplicate
-        transport delivery lands twice.  ``front`` attaches the
-        worker's running best-so-far summary (JSON-able dict) for the
-        broker's fleet-wide ``/best`` aggregation.
+        transport delivery lands twice.
         """
-        if segment is None and not reset and front is None:
+        if segment is None and not reset:
             status, _, _data = self._json_post(
                 "/heartbeat", {"lease_id": lease_id}
             )
             return status == 200
-        params = {
+        query = urllib.parse.urlencode({
             "lease_id": lease_id,
             "reset": "1" if reset else "0",
             "offset": "" if offset is None else str(int(offset)),
-        }
-        if front is not None:
-            params["front"] = json.dumps(front)
-        query = urllib.parse.urlencode(params)
+        })
         status, _, _data = self._request(
             "POST", f"/heartbeat?{query}", segment or b""
         )
@@ -461,13 +455,6 @@ class BrokerClient:
         status, _, data = self._request("GET", "/healthz")
         if status != 200:
             raise BrokerError(f"healthz failed ({status}): {data!r}")
-        return json.loads(data)
-
-    def best(self) -> dict:
-        """Unauthenticated fleet-wide best-so-far per session queue."""
-        status, _, data = self._request("GET", "/best")
-        if status != 200:
-            raise BrokerError(f"best failed ({status}): {data!r}")
         return json.loads(data)
 
     def metrics_text(self) -> str:

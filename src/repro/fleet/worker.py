@@ -7,6 +7,7 @@
         [--journal-root DIR] [--auth-key-file PATH]
         [--poll 0.2] [--max-tasks N] [--exit-on-idle SECONDS]
         [--stream-interval SECONDS] [--broker-patience SECONDS]
+        [--trace-dir DIR]
 
 The agent wraps the exact execution paths the single-box engines use,
 so a fleet run is bitwise identical to a local one:
@@ -58,13 +59,9 @@ records an ``execute`` span under that trace id into ``--trace-dir``,
 and it exports the context as ``$REPRO_TRACE_CONTEXT`` around the
 task so the cell's own :class:`repro.obs.spans.SpanRecorder` parents
 every engine/flow span into the originating session — one merged
-Perfetto timeline across scheduler, broker and every worker.  Segment
-heartbeats additionally attach the cell's running best-so-far front
-summary (:class:`repro.obs.front.FrontTracker`), folded broker-side
-into the fleet-wide ``/best`` view; ``--metrics-port`` starts a
-sidecar thread serving the agent's own ``/metrics``.  All telemetry
+Perfetto timeline across scheduler, broker and every worker.  Tracing
 is read-side — task bytes and seeds are untouched, so a traced fleet
-run stays bitwise identical.
+run stays bitwise identical to an untraced one.
 """
 
 from __future__ import annotations
@@ -82,8 +79,6 @@ from pathlib import Path
 from repro.fleet.client import RETRIABLE, BrokerClient
 from repro.fleet.wal import durable_replace, tail_complete
 from repro.fleet.wire import check_wire_schema, dump, load, load_auth_key
-from repro.obs.front import FrontTracker
-from repro.obs.prom import counter, gauge, render_metrics
 
 __all__ = ["FleetWorker", "main"]
 
@@ -125,7 +120,6 @@ class FleetWorker:
         broker_patience_s: float = 60.0,
         transport=None,
         trace_dir: str | None = None,
-        metrics_port: int | None = None,
     ):
         self.worker_id = worker_id or (
             f"{socket.gethostname()}:{os.getpid()}"
@@ -147,15 +141,8 @@ class FleetWorker:
         self.broker_patience_s = float(broker_patience_s)
         self.tasks_done = 0
         self.reconnects = 0
-        self.heartbeats_sent = 0
-        self.segments_shipped = 0
-        self.fronts_sent = 0
-        self.executing = 0
-        self._started = time.monotonic()
         self._lease_ttl_s = 30.0
         self._flows: dict[str, tuple] = {}  # benchmark -> (space, flow)
-        self.metrics_port = metrics_port
-        self._metrics_server = None
         self._spans = None
         self._trace_writer = None
         if trace_dir:
@@ -333,108 +320,7 @@ class FleetWorker:
             )
         return stack
 
-    # ------------------------------------------------------------------
-    # metrics sidecar
-    # ------------------------------------------------------------------
-
-    def metrics_text(self) -> str:
-        """This agent's own Prometheus exposition (counters + gauges)."""
-        return render_metrics([
-            counter(
-                "worker_tasks_completed_total",
-                "Tasks executed and streamed back by this agent.",
-                self.tasks_done,
-            ),
-            counter(
-                "worker_reconnects_total",
-                "Broker outages this agent survived.",
-                self.reconnects,
-            ),
-            counter(
-                "worker_heartbeats_total",
-                "Lease heartbeats sent (with or without a segment).",
-                self.heartbeats_sent,
-            ),
-            counter(
-                "worker_segments_shipped_total",
-                "Journal segments streamed to the broker mid-cell.",
-                self.segments_shipped,
-            ),
-            counter(
-                "worker_fronts_sent_total",
-                "Heartbeats that carried a best-so-far front summary.",
-                self.fronts_sent,
-            ),
-            gauge(
-                "worker_executing",
-                "1 while a leased task is running, else 0.",
-                self.executing,
-            ),
-            gauge(
-                "worker_uptime_seconds",
-                "Seconds since this agent started.",
-                time.monotonic() - self._started,
-            ),
-        ])
-
-    def _start_metrics_server(self) -> None:
-        """Sidecar ``/metrics`` + ``/healthz`` on ``--metrics-port``.
-
-        Runs on a daemon thread so a wedged scrape can never stall the
-        serve loop; the handler reads plain attributes (ints assigned
-        atomically under the GIL), so no lock crosses the hot path.
-        """
-        if self.metrics_port is None:
-            return
-        import http.server
-        import json
-
-        agent = self
-
-        class _Handler(http.server.BaseHTTPRequestHandler):
-            def log_message(self, *args):  # quiet by default
-                pass
-
-            def do_GET(self):
-                path = self.path.partition("?")[0]
-                if path == "/metrics":
-                    body = agent.metrics_text().encode("utf-8")
-                    ctype = "text/plain; version=0.0.4"
-                elif path == "/healthz":
-                    body = json.dumps({
-                        "ok": True,
-                        "worker": agent.worker_id,
-                        "uptime_s": time.monotonic() - agent._started,
-                        "executing": bool(agent.executing),
-                    }).encode("utf-8")
-                    ctype = "application/json"
-                else:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        self._metrics_server = http.server.ThreadingHTTPServer(
-            ("127.0.0.1", self.metrics_port), _Handler
-        )
-        self.metrics_port = self._metrics_server.server_address[1]
-        threading.Thread(
-            target=self._metrics_server.serve_forever,
-            kwargs={"poll_interval": 0.2},
-            daemon=True,
-        ).start()
-
     def _close_telemetry(self) -> None:
-        if self._metrics_server is not None:
-            try:
-                self._metrics_server.shutdown()
-                self._metrics_server.server_close()
-            except Exception:
-                pass
-            self._metrics_server = None
         if self._trace_writer is not None:
             try:
                 self._trace_writer.close()
@@ -454,10 +340,6 @@ class FleetWorker:
         stream: _JournalStream | None = None,
     ) -> None:
         interval = self.stream_interval_s or max(0.05, self._lease_ttl_s / 3.0)
-        # The tracker folds exactly the bytes this loop ships, so the
-        # attached best-so-far summary always describes a prefix the
-        # broker also holds (no phantom points on a lost segment).
-        tracker = FrontTracker()
         while not stop.wait(interval):
             try:
                 if stream is not None:
@@ -465,22 +347,13 @@ class FleetWorker:
                 else:
                     data, reset, start = b"", False, 0
                 if data or reset:
-                    if reset:
-                        tracker = FrontTracker()  # journal was rewritten
-                    tracker.feed(data)
-                    front = tracker.summary() if tracker.commits else None
                     ok = self.client.heartbeat(
                         lease_id, segment=data, reset=reset, offset=start,
-                        front=front,
                     )
                     if ok:
                         stream.offset = start + len(data)
-                        self.segments_shipped += 1
-                        if front is not None:
-                            self.fronts_sent += 1
                 else:
                     ok = self.client.heartbeat(lease_id)
-                self.heartbeats_sent += 1
                 if not ok:
                     return  # lease expired: task re-issued elsewhere
             except RETRIABLE:
@@ -519,7 +392,6 @@ class FleetWorker:
         )
         beat.start()
         start = time.perf_counter()
-        self.executing = 1
         try:
             # Task-level crashes are data (the outcome carries the
             # traceback); only broker/protocol failures escape.
@@ -533,7 +405,6 @@ class FleetWorker:
                         "worker": self.worker_id,
                     }
         finally:
-            self.executing = 0
             stop.set()
         exec_s = time.perf_counter() - start
         beat.join(timeout=1.0)
@@ -549,7 +420,6 @@ class FleetWorker:
 
     def run(self) -> int:
         """Register, then serve until told (or configured) to stop."""
-        self._start_metrics_server()
         try:
             return self._run()
         finally:
@@ -667,11 +537,6 @@ def main(argv: list[str] | None = None) -> int:
         help="record agent-level execute spans (parented into the "
              "submitting session's trace) to this directory",
     )
-    parser.add_argument(
-        "--metrics-port", type=int, default=0,
-        help="serve this agent's /metrics and /healthz on a sidecar "
-             "thread at this loopback port (0 = off)",
-    )
     args = parser.parse_args(argv)
 
     from repro.core.resilience.signals import terminate_on_signals
@@ -689,7 +554,6 @@ def main(argv: list[str] | None = None) -> int:
         stream_interval_s=args.stream_interval or None,
         broker_patience_s=args.broker_patience,
         trace_dir=args.trace_dir or None,
-        metrics_port=args.metrics_port or None,
     )
     with terminate_on_signals():
         return worker.run()

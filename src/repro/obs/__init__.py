@@ -18,13 +18,16 @@ Recording layers (dependency-free, safe on the hot path):
   ``chrome://tracing``) via ``python -m repro.obs.spans``.
 
 Consumer CLIs (import without numpy or scipy; the monitor's first
-front hypervolume loads numpy and :mod:`repro.core.pareto`, never
+cell hypervolume loads numpy and :mod:`repro.core.pareto`, never
 scipy or the optimizer):
 
 - ``python -m repro.obs.monitor DIR`` — live sweep monitor, tails
   journals/traces in place.
 - ``python -m repro.obs.report DIR`` — run summary, ``--compare``
   regression gate, table1-log rollup.
+
+:mod:`repro.obs.prom` renders and parses the Prometheus text the fleet
+broker serves at ``/metrics``.
 """
 
 from repro.obs.timing import Metrics

@@ -25,25 +25,15 @@ for *newly appended* lines and redraws in place:
 - fleet brokers (one block per ``*.fleet.jsonl`` event log from
   ``python -m repro.fleet.broker --log-dir``): per-queue progress and
   lease depth, per-agent lease churn and busy time, lease-expiry and
-  duplicate-completion counters, the queue's live best-so-far front
-  (``best`` WAL events), and per-queue wall-time attribution — how
-  long cells spent queued vs evaluating vs in fleet overhead (lease
-  round-trips, journal streaming, result shipping);
-- fleet health (one block per ``*.metrics.jsonl`` series scraped by
-  ``python -m repro.obs.scrape``): endpoint liveness, windowed
-  submit/complete/heartbeat rates and the headline gauges, plus
-  declarative **SLO rules** (``--slo`` / ``--slo-file``,
-  :mod:`repro.obs.slo`) evaluated every refresh — breaches render in
-  the pane, are written to ``--alert-file``, and flip the exit status
-  to 1 so a CI wrapper can gate on fleet health.
+  duplicate-completion counters, and per-queue wall-time attribution —
+  how long cells spent queued vs evaluating vs in fleet overhead
+  (lease round-trips, journal streaming, result shipping).
 
 The monitor imports **nothing from the hot path** at start-up: only
-the standard library, its :mod:`repro.obs` siblings
-(:mod:`~repro.obs.front`, :mod:`~repro.obs.slo`,
-:mod:`~repro.obs.prom`) and the log module :mod:`repro.fleet.wal`, none
-of which imports numpy.  The first cell hypervolume loads numpy and
-:mod:`repro.core.pareto` through :class:`~repro.obs.front.FrontTracker`
-— never scipy or the optimizer.  It tails raw JSONL through the shared
+the standard library and the log module :mod:`repro.fleet.wal`, which
+imports no numpy.  The first cell hypervolume loads numpy and
+:mod:`repro.core.pareto` — never scipy or the optimizer.  It tails
+raw JSONL through the shared
 complete-line tail (torn trailing lines of a live file stay unread,
 and a journal rewritten by a resume is detected by shrinkage and
 re-read from the top), so it can run on any machine that sees the
@@ -53,7 +43,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -61,20 +50,53 @@ from collections import defaultdict
 from pathlib import Path
 
 from repro.fleet.wal import iter_records, tail_complete
-from repro.obs.front import FrontTracker, _float
-from repro.obs.prom import metric_value
-from repro.obs.slo import evaluate_rules, parse_rules
 
 __all__ = [
     "TraceTail",
+    "CellState",
     "FleetState",
-    "MetricsState",
     "PipelineState",
     "SweepState",
+    "point_from_commit",
     "scan_files",
     "render",
     "main",
 ]
+
+
+def _float(value) -> float:
+    """Journal floats may be sentinel strings ("NaN"/"Infinity")."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def point_from_commit(record: dict) -> tuple[float, float, float] | None:
+    """The ``[power_w, delay_us, lut_util]`` triple of one journal
+    ``commit`` record (all minimized; ``delay_us = latency_cycles *
+    clock_ns * 1e-3``).
+
+    ``None`` for non-commit records, commits without reports, and
+    invalid final reports.
+    """
+    if record.get("event") != "commit":
+        return None
+    reports = record.get("reports") or []
+    if not reports:
+        return None
+    final = reports[-1]
+    if not final.get("valid"):
+        return None
+    delay_us = (
+        _float(final.get("latency_cycles")) * _float(final.get("clock_ns"))
+        * 1e-3
+    )
+    return (
+        _float(final.get("power_w")),
+        delay_us,
+        _float(final.get("lut_util")),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +130,12 @@ class TraceTail:
 
 
 class CellState:
-    """Progress of one (benchmark, method, seed) cell's journal."""
+    """Progress of one (benchmark, method, seed) cell's journal.
+
+    ``points`` holds the objective triples of the valid commits; a
+    point with a NaN or infinite objective is dropped, its commit still
+    counts.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -118,7 +145,8 @@ class CellState:
         self.retries = 0
         self.degrades = 0
         self.failed = 0
-        self.front = FrontTracker()
+        self.commits = 0
+        self.points: list[tuple[float, float, float]] = []
 
     def feed(self, record: dict) -> None:
         event = record.get("event")
@@ -132,17 +160,16 @@ class CellState:
             if fp.get("n_iter") is not None:
                 self.budget = int(sum(n_init)) + int(fp["n_iter"])
         elif event == "commit":
-            self.front.feed_record(record)
+            self.commits += 1
+            point = point_from_commit(record)
+            if point is not None and all(math.isfinite(v) for v in point):
+                self.points.append(point)
             self.phase = record.get("phase", self.phase)
             self.retries += max(0, int(record.get("attempts", 1)) - 1)
             if record.get("degraded"):
                 self.degrades += 1
             if record.get("failed"):
                 self.failed += 1
-
-    @property
-    def commits(self) -> int:
-        return self.front.commits
 
     @property
     def progress(self) -> str:
@@ -155,8 +182,20 @@ class CellState:
         return f"{self.commits:>3} commits"
 
     def hypervolume(self) -> float | None:
-        """The front's hypervolume; ``None`` before the first point."""
-        return self.front.summary()["hv"] if self.front.points else None
+        """The points' hypervolume (paper Eq. (6)); ``None`` before
+        the first point.
+
+        The reference point is the componentwise worst point seen plus
+        10% — comparable across refreshes of one cell, not across cells.
+        """
+        if not self.points:
+            return None
+        from repro.core.pareto import hypervolume
+
+        ref = tuple(
+            max(p[i] for p in self.points) * 1.1 + 1e-12 for i in range(3)
+        )
+        return hypervolume(self.points, ref)
 
 
 class PipelineState:
@@ -214,8 +253,6 @@ class FleetState:
         self.segments = 0
         self.streamed_commits: dict[str, int] = {}  # task -> commits
         self.resumed: dict[str, int] = {}  # task -> salvaged commits
-        #: Latest ``best`` WAL event per queue (live best-so-far front).
-        self.best: dict[str, dict] = {}
         # Per-task wall-clock stamps for the attribution rollup: every
         # WAL record carries ``t``, so queued time is lease.t minus the
         # moment the task (re)entered the queue, and the gap between
@@ -290,13 +327,6 @@ class FleetState:
             if leased is not None and not math.isnan(t):
                 held = max(0.0, t - leased)
                 q["network_s"] += max(0.0, held - exec_s)
-        elif event == "best":
-            self.best[queue] = {
-                "hv": _float(record.get("hv")),
-                "n": int(record.get("n", 0) or 0),
-                "commits": int(record.get("commits", 0) or 0),
-                "t": t,
-            }
         elif event == "restart":
             self.restarts += 1
         elif event == "auth_reject":
@@ -364,77 +394,6 @@ class FleetState:
             self.streamed_commits[task] = int(info.get("commits", 0))
 
 
-class MetricsState:
-    """Scraped ``/metrics`` time series, folded per endpoint URL.
-
-    Fed from the ``*.metrics.jsonl`` files ``python -m repro.obs.
-    scrape`` appends: one ``(t, samples)`` series per URL, bounded to
-    the most recent :data:`KEEP` samples (rates only need the trailing
-    window).  Gap records (``ok: false`` — endpoint down or mid-
-    restart) are counted and flip the liveness flag but never enter
-    the numeric series, so a rate never averages across a hole.
-    """
-
-    #: Samples retained per endpoint — plenty for any rate window.
-    KEEP = 720
-    #: Default trailing window for the pane's per-minute rates.
-    WINDOW_S = 120.0
-
-    def __init__(self) -> None:
-        self.series: dict[str, list[tuple[float, dict]]] = {}
-        self.gaps: dict[str, int] = {}
-        self.alive: dict[str, bool] = {}
-
-    def feed(self, record: dict) -> None:
-        if not isinstance(record, dict):
-            return
-        url = str(record.get("url", "?"))
-        if not record.get("ok"):
-            self.gaps[url] = self.gaps.get(url, 0) + 1
-            self.alive[url] = False
-            return
-        metrics = record.get("metrics")
-        t = _float(record.get("t"))
-        if not isinstance(metrics, dict) or math.isnan(t):
-            return
-        self.alive[url] = True
-        points = self.series.setdefault(url, [])
-        points.append((t, metrics))
-        del points[: -self.KEEP]
-
-    def latest(self, url: str, metric: str) -> float | None:
-        points = self.series.get(url)
-        if not points:
-            return None
-        return metric_value(points[-1][1], metric)
-
-    def rate(
-        self, url: str, metric: str, window_s: float | None = None
-    ) -> float | None:
-        """Per-minute increase of a counter over the trailing window.
-
-        A counter reset (broker restart without its WAL) clamps to 0
-        rather than going negative — same convention as the SLO
-        evaluator's ``rate()``.
-        """
-        window_s = self.WINDOW_S if window_s is None else window_s
-        points = self.series.get(url)
-        if not points or len(points) < 2:
-            return None
-        t1, last = points[-1]
-        v1 = metric_value(last, metric)
-        first = None
-        for t0, samples in reversed(points[:-1]):
-            v0 = metric_value(samples, metric)
-            if v0 is not None:
-                first = (t0, v0)
-            if t1 - t0 >= window_s:
-                break
-        if v1 is None or first is None or t1 <= first[0]:
-            return None
-        return max(0.0, v1 - first[1]) / (t1 - first[0]) * 60.0
-
-
 class SweepState:
     """Everything the monitor knows, folded from all tailed files."""
 
@@ -443,7 +402,6 @@ class SweepState:
         self.tails: dict[Path, TraceTail] = {}
         self.pipelines: dict[str, PipelineState] = {}
         self.fleets: dict[str, FleetState] = {}
-        self.metrics = MetricsState()
         self.faults = 0
         self.degrades = 0
         self.resumes = 0
@@ -470,9 +428,6 @@ class SweepState:
                 fleet = self.fleets.setdefault(path.name, FleetState())
                 for record in records:
                     fleet.feed(record)
-            elif kind == "metrics":
-                for record in records:
-                    self.metrics.feed(record)
             else:
                 for record in records:
                     self._feed_trace(record, path.name)
@@ -515,19 +470,19 @@ def _classify(name: str) -> str:
         return "journal"
     if name.endswith(".fleet.jsonl"):
         return "fleet"
-    if name.endswith(".metrics.jsonl"):
-        return "metrics"
     return "trace"
 
 
 def scan_files(root: Path) -> list[tuple[Path, str]]:
     """All (path, kind) pairs under ``root``; kind is
-    journal|fleet|metrics|trace."""
+    journal|fleet|trace.  Scraped ``*.metrics.jsonl`` series that older
+    releases wrote next to the logs are samples, not events: skipped."""
     if root.is_file():
         return [(root, _classify(root.name))]
     return [
         (path, _classify(path.name))
         for path in sorted(root.rglob("*.jsonl"))
+        if not path.name.endswith(".metrics.jsonl")
     ]
 
 
@@ -536,18 +491,7 @@ def scan_files(root: Path) -> list[tuple[Path, str]]:
 # ----------------------------------------------------------------------
 
 
-def _metric_text(value: float | None, fmt: str = "{:.0f}") -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "-"
-    return fmt.format(value)
-
-
-def render(
-    state: SweepState,
-    root: Path,
-    tick: int,
-    breaches: list[dict] | None = None,
-) -> str:
+def render(state: SweepState, root: Path, tick: int) -> str:
     lines = [f"sweep monitor — {root}  (refresh #{tick})"]
     if state.cells:
         lines.append(
@@ -619,17 +563,6 @@ def render(
                     f"evaluating {q['eval_s']:>8.2f}s | "
                     f"fleet overhead {q['network_s']:>7.2f}s"
                 )
-            best = fleet.best.get(queue)
-            if best is not None:
-                hv = best["hv"]
-                hv_text = (
-                    f"{hv:.4f}" if not math.isnan(hv) else "-"
-                )
-                lines.append(
-                    f"      best front: {best['n']} point(s)  "
-                    f"HV {hv_text}  from {best['commits']} "
-                    f"streamed commit(s)"
-                )
         for worker in sorted(fleet.workers):
             w = fleet.workers[worker]
             lines.append(
@@ -637,49 +570,6 @@ def render(
                 f"done {w['completed']:>4}  expired {w['expired']:>2}  "
                 f"busy {w['busy_s']:>8.3f}s"
             )
-    metrics = state.metrics
-    sources = sorted(set(metrics.series) | set(metrics.alive))
-    if sources:
-        lines.append("  fleet health (scraped /metrics):")
-        for url in sources:
-            up = metrics.alive.get(url, False)
-            status = "up  " if up else "DOWN"
-            gaps = metrics.gaps.get(url, 0)
-            uptime = metrics.latest(url, "fleet_uptime_seconds")
-            depth = metrics.latest(url, "fleet_queue_depth")
-            inflight = metrics.latest(url, "fleet_inflight")
-            lines.append(
-                f"    {status} {url}"
-                + (f"  ({gaps} gap(s))" if gaps else "")
-            )
-            lines.append(
-                f"      uptime {_metric_text(uptime, '{:.0f}s'):>7}  "
-                f"depth {_metric_text(depth):>4}  "
-                f"in-flight {_metric_text(inflight):>4}  "
-                f"submit {_metric_text(metrics.rate(url, 'fleet_submits_total'), '{:.1f}/min'):>9}  "
-                f"done {_metric_text(metrics.rate(url, 'fleet_completions_total'), '{:.1f}/min'):>9}  "
-                f"beat {_metric_text(metrics.rate(url, 'fleet_heartbeats_total'), '{:.1f}/min'):>9}"
-            )
-            expiries = metrics.latest(url, "fleet_lease_expiries_total")
-            rejects = metrics.latest(url, "fleet_auth_rejects_total")
-            hv = metrics.latest(url, "fleet_best_hypervolume")
-            if any(v not in (None, 0.0) for v in (expiries, rejects, hv)):
-                lines.append(
-                    f"      expiries {_metric_text(expiries):>4}  "
-                    f"auth rejects {_metric_text(rejects):>4}  "
-                    f"best HV {_metric_text(hv, '{:.4f}'):>8}"
-                )
-    if breaches is not None:
-        if breaches:
-            lines.append(f"  SLO: {len(breaches)} BREACH(ES)")
-            for breach in breaches:
-                lines.append(
-                    f"    BREACH [{breach.get('source', '?')}] "
-                    f"{breach.get('rule', '?')}  observed "
-                    f"{breach.get('observed')}"
-                )
-        else:
-            lines.append("  SLO: ok")
     lines.append(
         f"  faults: {state.faults}  degrades: {state.degrades}  "
         f"resumes: {state.resumes}  trace events: {state.trace_events}"
@@ -726,74 +616,31 @@ def main(argv: list[str] | None = None) -> int:
         "--iterations", type=int, default=0,
         help="stop after N refreshes (0 = until interrupted)",
     )
-    parser.add_argument(
-        "--slo", action="append", default=[], metavar="RULE",
-        help="SLO rule over the scraped metrics series, e.g. "
-             "'rate(fleet_lease_expiries_total) <= 2/min over 120s' "
-             "(repeatable; see repro.obs.slo)",
-    )
-    parser.add_argument(
-        "--slo-file", default="",
-        help="file of SLO rules, one per line (# comments allowed)",
-    )
-    parser.add_argument(
-        "--alert-file", default="",
-        help="write breach records (JSON) here whenever a rule fires",
-    )
     args = parser.parse_args(argv)
     root = Path(args.path)
     if not root.exists():
         print(f"no such path: {root}", file=sys.stderr)
         return 1
-    rule_texts = list(args.slo)
-    if args.slo_file:
-        rule_texts.extend(
-            Path(args.slo_file).read_text(encoding="utf-8").splitlines()
-        )
-    try:
-        rules = parse_rules("\n".join(rule_texts))
-    except ValueError as exc:
-        print(f"bad SLO rule: {exc}", file=sys.stderr)
-        return 2
 
     state = SweepState()
     tick = 0
-    breached = False
-
-    def _evaluate() -> list[dict] | None:
-        nonlocal breached
-        if not rules:
-            return None
-        breaches = evaluate_rules(rules, state.metrics.series)
-        if breaches:
-            breached = True
-            if args.alert_file:
-                Path(args.alert_file).write_text(
-                    json.dumps(
-                        {"breaches": breaches, "tick": tick},
-                        indent=2, sort_keys=True,
-                    ) + "\n",
-                    encoding="utf-8",
-                )
-        return breaches
-
     try:
         while True:
             tick += 1
             state.refresh(root)
-            text = render(state, root, tick, breaches=_evaluate())
+            text = render(state, root, tick)
             if args.once:
                 print(text)
-                return 1 if breached else 0
+                return 0
             # Redraw in place: home the cursor, clear to end of screen.
             sys.stdout.write("\x1b[H\x1b[J" + text + "\n")
             sys.stdout.flush()
             if args.iterations and tick >= args.iterations:
-                return 1 if breached else 0
+                return 0
             time.sleep(args.interval)
     except KeyboardInterrupt:
         print()
-        return 1 if breached else 0
+        return 0
 
 
 if __name__ == "__main__":

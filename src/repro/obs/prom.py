@@ -1,22 +1,23 @@
 """Prometheus text exposition, stdlib-only: render, parse, histograms.
 
-The fleet broker (and the worker's metrics sidecar) serve a
-``/metrics`` endpoint in the Prometheus `text exposition format
+The fleet broker serves a ``/metrics`` endpoint in the Prometheus
+`text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ —
 ``# HELP``/``# TYPE`` comments followed by ``name{labels} value``
 samples.  This module is the single registry of metric *names* and
-*bucket boundaries* (DESIGN.md Sec. 15): producers build families with
-:func:`counter`/:func:`gauge`/:func:`histogram_family` and render them
-with :func:`render_metrics`; consumers (``repro.obs.scrape``, the SLO
-evaluator, tests) read them back with :func:`parse_metrics`.
+*bucket boundaries* (DESIGN.md Sec. 15): the broker builds families
+with :func:`counter`/:func:`gauge`/:func:`histogram_family` and renders
+them with :func:`render_metrics`; consumers (the wall-clock benchmark's
+fleet workload, tests) read them back with :func:`parse_metrics` and
+:func:`metric_value`.
 
 It imports only the standard library, so the broker imports without
 numpy.
 
 **Histograms** are fixed-bucket and cumulative (each ``le`` bucket
 counts observations ``<= le``; ``+Inf`` equals ``_count``), matching
-Prometheus semantics so scraped series can be rate()'d and quantiled
-by standard tooling.  Buckets are fixed at construction — observation
+Prometheus semantics so standard tooling can rate() and quantile
+them.  Buckets are fixed at construction — observation
 is a lock + bisect, safe on the broker's request path.
 """
 
@@ -192,8 +193,8 @@ def render_metrics(families: list[dict]) -> str:
 def parse_metrics(text: str) -> dict[str, float]:
     """``{"name{labels}": value}`` for every sample line in ``text``.
 
-    Comments and malformed lines are skipped (a scrape of a live
-    endpoint must never crash the scraper); keys keep their label
+    Comments and malformed lines are skipped (reading a live endpoint
+    must never crash the reader); keys keep their label
     block verbatim, so ``fleet_queue_depth{queue="session.a"}`` and
     the bare ``fleet_uptime_seconds`` are both valid keys.
     """
@@ -222,8 +223,8 @@ def metric_value(
     """Look one metric up by exact key, else sum its labeled series.
 
     ``name`` with a label block (``depth{queue="a"}``) must match
-    exactly; a bare name sums every series of that family (the usual
-    SLO case: total expiries regardless of queue).  Returns ``None``
+    exactly; a bare name sums every series of that family (total
+    expiries regardless of queue).  Returns ``None``
     when the family is absent entirely.
     """
     if name in samples:

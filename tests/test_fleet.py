@@ -11,6 +11,7 @@ single-process runs, surviving a SIGKILL'd worker mid-lease via lease
 expiry with no duplicate commits.
 """
 
+import dataclasses
 import http.client
 import math
 import os
@@ -41,6 +42,7 @@ from repro.fleet.wire import (
     wire_fingerprint,
 )
 from repro.fleet.worker import FleetWorker
+from repro.obs import read_trace
 
 BENCH = "spmv_ellpack"
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
@@ -525,10 +527,16 @@ class TestLoopbackFleet:
     def test_two_workers_two_sessions_bitwise(self, tmp_path):
         """The acceptance gate: a 2-worker loopback fleet multiplexing
         two concurrent sessions reproduces single-process numbers
-        bitwise, sharing ground truth through the sharded gtcache."""
+        bitwise, sharing ground truth through the sharded gtcache.
+
+        The fleet runs traced (scheduler, workers and cell spans) while
+        the local runs do not, so the bitwise asserts also show tracing
+        is neutral; nearly every worker and cell span must carry a
+        scheduler trace id."""
         cache = tmp_path / "gtcache"
         log_dir = tmp_path / "fleet-log"
         log_dir.mkdir()
+        trace_dir = tmp_path / "trace"
         specs = [
             SessionSpec(
                 name="s1", benchmark=BENCH,
@@ -543,11 +551,16 @@ class TestLoopbackFleet:
         try:
             broker, url = _start_broker(tmp_path, 30.0, log_dir)
             workers = [
-                _start_worker(url, f"w{i}", cache_dir=str(cache))
+                _start_worker(
+                    url, f"w{i}", cache_dir=str(cache),
+                    trace_dir=str(trace_dir),
+                )
                 for i in range(2)
             ]
             fleet = run_schedule(
-                url, specs, scale=SMOKE_SCALE, cache_dir=cache,
+                url, specs,
+                scale=dataclasses.replace(SMOKE_SCALE, trace_spans=True),
+                cache_dir=cache, trace_dir=trace_dir,
                 poll_s=0.1, timeout_s=600.0,
             )
             stats = BrokerClient(url).stats()
@@ -574,6 +587,23 @@ class TestLoopbackFleet:
         entries = list(cache.rglob("*.npz"))
         assert len(entries) == 1
         assert entries[0].parent.parent == cache  # <cache>/<shard>/x.npz
+
+        # X-Repro-Trace held across processes: submit -> lease ->
+        # execute -> cell.
+        session_traces = {
+            span.get("trace")
+            for span in read_trace(trace_dir / "schedule.trace.jsonl", "span")
+        } - {None}
+        assert session_traces
+        spans = [
+            span
+            for path in sorted(trace_dir.glob("*.jsonl"))
+            if path.name != "schedule.trace.jsonl"
+            for span in read_trace(path, "span")
+        ]
+        assert any(r["name"] == "execute" for r in spans)
+        parented = sum(r.get("trace") in session_traces for r in spans)
+        assert parented >= 0.95 * len(spans), (parented, len(spans))
 
         # The broker's event log drives the monitor's fleet view.
         from repro.obs.monitor import SweepState, render

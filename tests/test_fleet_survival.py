@@ -510,6 +510,18 @@ class TestAuth:
             client = BrokerClient(srv.url, identity="t")  # no key
             health = client.healthz()
             assert health["ok"] is True and health["restarts"] == 0
+            # Probes and the wall-clock benchmark read /metrics without
+            # a key; no other telemetry route is open.
+            host, port = srv.server_address[:2]
+            for path, status in (("/metrics", 200), ("/best", 401)):
+                conn = http.client.HTTPConnection(host, port, timeout=10.0)
+                try:
+                    conn.request("GET", path)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == status, path
+                finally:
+                    conn.close()
 
     def test_worker_path_fails_with_wire_auth_error(self):
         with _running(serve(port=0, auth_key=KEY)) as srv:
@@ -1198,8 +1210,8 @@ def _golden_script(state_dir: Path, monkeypatch) -> FleetBroker:
     """Drive every WAL-writing transition with fixed clocks and ids.
 
     Covers queue/register/submit (auto id, implicit queue, idempotent
-    resubmit), lease, renew, segments (redelivery, reset), a ``best``
-    front fold, a crash and rehydration, expiries, resume grants,
+    resubmit), lease, renew, segments (redelivery, reset), a crash
+    and rehydration, expiries, resume grants,
     accepted / duplicate / stale-after-expiry completions, reconnect,
     auth reject and shutdown.  ``compact_bytes`` is tuned so exactly
     one ``snapshot`` record is written.  Returns the closed broker.
@@ -1219,7 +1231,6 @@ def _golden_script(state_dir: Path, monkeypatch) -> FleetBroker:
             wallclock=wall, compact_bytes=2700, auth_key=KEY,
         )
 
-    front = {"n": 1, "commits": 1, "points": [[1.5, 2.0, 0.25]]}
     broker = start()
     broker.create_queue("a")
     broker.register("w0", {"cpus": 2})
@@ -1230,8 +1241,7 @@ def _golden_script(state_dir: Path, monkeypatch) -> FleetBroker:
     broker.submit("a", b"payload-three", task_id="t3")
     g1 = broker.lease("w0")
     tick(1.0)
-    broker.heartbeat(g1["lease_id"], segment=COMMIT_LINE, offset=0,
-                     front=front)
+    broker.heartbeat(g1["lease_id"], segment=COMMIT_LINE, offset=0)
     broker.heartbeat(g1["lease_id"], segment=COMMIT_LINE, offset=0)
     g2 = broker.lease("w1", ["b"])
     broker.heartbeat(g2["lease_id"], segment=COMMIT_LINE * 2, offset=0)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import pareto
 from repro.core.optimizer import CorrelatedMFBO, MFBOSettings
 from repro.dse.space import DesignSpace
 from repro.hlsim.flow import HlsFlow
@@ -980,11 +981,13 @@ class TestMonitor:
                     "lut_util": lut,
                 }],
             })
-        front = cell.front.front()
-        assert (1.0, 1.0, 1.0) in front
-        assert (0.0, 3.0, 1.0) in front
-        assert (2.0, 2.0, 2.0) not in front  # dominated
-        assert len(front) == 2  # the NaN point is dropped
+        # The NaN point is dropped; the dominated one adds no volume.
+        assert cell.points == [(1.0, 1.0, 1.0), (2.0, 2.0, 2.0),
+                               (0.0, 3.0, 1.0)]
+        ref = tuple(v * 1.1 + 1e-12 for v in (2.0, 3.0, 2.0))
+        assert cell.hypervolume() == pareto.hypervolume(
+            [(1.0, 1.0, 1.0), (0.0, 3.0, 1.0)], ref
+        )
         assert cell.commits == 4
 
     def test_trace_tail_incremental(self, tmp_path):
@@ -1032,13 +1035,13 @@ class TestMonitor:
         })
         assert cell.commits == 1 and cell.retries == 2
         assert cell.degrades == 1 and cell.failed == 0
-        assert cell.front.points == [(1.0, 5.0, 0.25)]  # cyc*ns*1e-3
+        assert cell.points == [(1.0, 5.0, 0.25)]  # cyc*ns*1e-3
         cell.feed({
             "event": "commit", "phase": "loop", "attempts": 1,
             "reports": [{"valid": False}],
         })
         assert cell.commits == 2
-        assert len(cell.front.points) == 1  # invalid report adds no point
+        assert len(cell.points) == 1  # invalid report adds no point
         # Sentinel floats ("NaN") parse to nan and are excluded from HV.
         cell.feed({
             "event": "commit", "phase": "verify", "attempts": 1,
