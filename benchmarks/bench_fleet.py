@@ -12,7 +12,16 @@ acceptance criterion:
   sessions;
 - **cleanliness**: the broker finished with zero lease expiries and
   zero duplicate completions — nobody timed out, nothing committed
-  twice.
+  twice;
+- **no polling**: the scheduler sent at most 1.5 ``/result`` requests
+  per cell (``result_requests_per_cell``, read from the broker's
+  ``fleet_request_latency_seconds_count{endpoint="/result"}``).  Each
+  request is held at the broker until its cell lands (``poll_s`` is
+  the longest hold, :data:`repro.fleet.wire.MAX_WAIT_S`, far above a
+  smoke cell), so the count is one per cell plus any wait that ran
+  out.  It counts requests, not time, so it holds on any runner; a
+  polling scheduler needs at least two per cell (its first round
+  always comes before the first cell lands).
 
 These gates are deterministic regardless of core count, so
 ``speedup_asserted`` is true in every ``BENCH_fleet.json`` (the fleet
@@ -41,9 +50,13 @@ from repro.experiments.harness import SMOKE_SCALE, run_benchmark
 from repro.experiments.parallel import prewarm_contexts
 from repro.fleet.client import BrokerClient
 from repro.fleet.schedule import SessionSpec, run_schedule
+from repro.fleet.wire import MAX_WAIT_S
+from repro.obs.prom import metric_value, parse_metrics
 
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 WORKERS = 2
+#: The no-polling gate: ``/result`` requests per cell, at most.
+MAX_RESULT_REQUESTS_PER_CELL = 1.5
 SESSIONS = (
     SessionSpec(
         name="s1", benchmark="spmv_ellpack",
@@ -60,7 +73,8 @@ SPEEDUP_ASSERTED_REASON = (
     "concurrent sessions over the sharded gtcache) must reproduce the "
     "single-process ADRS/runtime values, per-step histories and Pareto "
     "fronts bitwise, with zero lease expiries and zero duplicate "
-    "completions — deterministic and asserted on every run regardless "
+    "completions, and at most 1.5 /result requests per cell (no "
+    "polling) — deterministic and asserted on every run regardless "
     "of core count (a loopback fleet proves correctness, not speed)"
 )
 
@@ -187,10 +201,16 @@ def run_bench(
         start = time.perf_counter()
         fleet = run_schedule(
             url, list(SESSIONS), scale=SMOKE_SCALE, cache_dir=cache_dir,
-            poll_s=0.1, timeout_s=900.0,
+            poll_s=MAX_WAIT_S, timeout_s=900.0,
         )
         fleet_s = time.perf_counter() - start
-        stats = BrokerClient(url).stats()
+        probe = BrokerClient(url)
+        stats = probe.stats()
+        result_requests = metric_value(
+            parse_metrics(probe.metrics_text()),
+            'fleet_request_latency_seconds_count{endpoint="/result"}',
+        ) or 0.0
+        probe.close()
     finally:
         _stop([broker] + workers)
 
@@ -218,6 +238,9 @@ def run_bench(
         "lease_expiries": stats["expiries"],
         "duplicate_completions": stats["duplicates"],
         "tasks_done": stats["done"],
+        "result_requests_per_cell": round(
+            result_requests / max(1, stats["done"]), 3
+        ),
         "speedup_asserted": True,
         "speedup_asserted_reason": SPEEDUP_ASSERTED_REASON,
     }
@@ -230,6 +253,12 @@ def run_bench(
     )
     assert stats["expiries"] == 0, "a lease timed out on a healthy fleet"
     assert stats["duplicates"] == 0, "an outcome was committed twice"
+    assert (
+        report["result_requests_per_cell"] <= MAX_RESULT_REQUESTS_PER_CELL
+    ), (
+        f"{report['result_requests_per_cell']} /result requests per cell: "
+        "the scheduler is polling"
+    )
     return report
 
 

@@ -45,7 +45,7 @@ payloads and completed results, base64-framed) is fsync'd by
 broker started with ``--state-dir`` replays the journal on boot —
 queues, leases (TTL clocks resumed against wall time), results and
 streamed journal segments all come back — then appends a ``restart``
-record and keeps serving the *same* task ids, so clients polling
+record and keeps serving the *same* task ids, so clients waiting on
 ``/result`` and workers holding leases reconnect transparently.
 Submissions carry client-generated task ids, making a retried
 ``/submit`` (response lost in the crash) idempotent.  Each transition
@@ -95,6 +95,32 @@ worker and scheduler files into one cross-process timeline.  All of it
 is read-side telemetry: queue decisions, payload bytes and WAL
 contents are untouched, so a traced fleet run stays bitwise identical
 to an untraced one.
+
+**Waits instead of polls.**  ``/lease`` (``wait_s`` in its JSON body)
+and ``/result`` (``wait_s`` in its query) may block: the handler waits
+on one condition over the broker lock until there is work for the
+worker or the task's outcome landed, or until the wait runs out —
+clamped to :data:`repro.fleet.wire.MAX_WAIT_S`, below the client's
+socket timeout.  The live entry points that change what a waiter sees
+wake every waiter: ``submit``, an accepted ``complete``, and the expiry
+sweep when it re-queues a lease.  WAL replay runs the same transition
+methods without the lock and wakes nobody (no one waits during boot).
+A waiter re-runs the expiry sweep at least every
+:data:`EXPIRY_SWEEP_S`, so a waiting worker picks up an expired lease
+with no other traffic, and a waiting lease whose worker closed its
+connection (it died while waiting) ends without taking a task.
+Shutdown (SIGTERM, ``/shutdown``,
+:meth:`FleetBroker.close`) wakes every waiter at once, and a wait
+begun after it returns immediately, so the drain never sits out a wait.
+Connections are HTTP/1.1 keep-alive with Nagle's algorithm off; one
+left idle for :data:`IDLE_TIMEOUT_S` is closed (the client re-sends on
+a fresh connection without counting an outage).
+
+**Request latency is service time.**  ``fleet_request_latency_seconds``
+observes each request's handling time *minus* the time it spent
+blocked in a wait, so a ``/result`` held 10 s for a slow cell still
+reads as the microseconds the broker worked on it, and the histogram's
+sum stays comparable with a polling client's.
 """
 
 from __future__ import annotations
@@ -102,7 +128,9 @@ from __future__ import annotations
 import argparse
 import base64
 import json
+import math
 import os
+import select
 import signal
 import sys
 import threading
@@ -113,11 +141,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from socket import MSG_PEEK, SHUT_RD
 
 from repro.fleet.wal import WalWriter, iter_records, scan_wal
 from repro.fleet.wire import (
     AUTH_FRESHNESS_S,
     AUTH_HEADER,
+    MAX_WAIT_S,
     TRACE_HEADER,
     WIRE_HEADER,
     NonceCache,
@@ -156,6 +186,15 @@ DONE = "done"
 #: bytes, for brokers running with ``--state-dir``.  Plain ``--log-dir``
 #: keeps the full append-only event history for the monitor.
 DEFAULT_COMPACT_BYTES = 8 * 1024 * 1024
+
+#: A waiting ``/lease`` or ``/result`` re-runs the lease-expiry sweep at
+#: least this often (seconds), so an expired lease reaches a waiting
+#: worker without any other request arriving.
+EXPIRY_SWEEP_S = 1.0
+
+#: A kept-alive connection idle this long (seconds) is closed, so a
+#: client that vanished without closing does not pin a handler thread.
+IDLE_TIMEOUT_S = 120.0
 
 
 #: The durable counters, in snapshot-record order: persisted by
@@ -243,6 +282,11 @@ class FleetBroker:
         self._clock = clock
         self._wallclock = wallclock
         self._lock = threading.Lock()
+        # Wakes waiting /lease and /result requests; notified only by
+        # live entry points, which hold the lock (replay does not).
+        self._changed = threading.Condition(self._lock)
+        self._closing = False
+        self._waited = threading.local()  # per handler thread, seconds
         self._queues: dict[str, deque[str]] = {}
         self._tasks: dict[str, Task] = {}
         self._leases: dict[str, str] = {}  # lease_id -> task_id
@@ -690,13 +734,17 @@ class FleetBroker:
         return "accepted"
 
     def _expire_leases(self, now: float) -> None:
-        """Expire (and log) every lease whose deadline passed."""
-        for lease_id in [
+        """Expire (and log) every lease whose deadline passed, waking
+        the waiters when one was re-queued."""
+        expired = [
             lid
             for lid, tid in self._leases.items()
             if self._tasks[tid].deadline is not None
             and self._tasks[tid].deadline < now
-        ]:
+        ]
+        if expired:
+            self._changed.notify_all()
+        for lease_id in expired:
             task = self._tasks[self._leases[lease_id]]
             worker = task.worker
             self._expire(task)
@@ -772,6 +820,7 @@ class FleetBroker:
                 payload_b64=base64.b64encode(payload).decode(),
                 **({"trace": trace} if trace else {}),
             )
+            self._changed.notify_all()
         with self._request_span(
             "broker.submit", trace, task=task_id, queue=queue
         ):
@@ -792,21 +841,61 @@ class FleetBroker:
             candidates, key=lambda q: (self._active[q], self._served[q])
         )
 
+    def _wait_for_change(self, until: float) -> bool:
+        """Block (lock held) until a live transition wakes this waiter,
+        the next expiry sweep is due, or ``until`` (``time.monotonic``)
+        passes; ``False`` once the wait is over or shutdown began.
+
+        The wait runs on real time whatever ``clock`` is injected, and
+        its length is kept per handler thread for :meth:`pop_wait_s`.
+        """
+        left = until - time.monotonic()
+        if left <= 0 or self._closing:
+            return False
+        start = time.perf_counter()
+        self._changed.wait(min(left, EXPIRY_SWEEP_S))
+        self._waited.s = (
+            getattr(self._waited, "s", 0.0) + time.perf_counter() - start
+        )
+        return True
+
+    def pop_wait_s(self) -> float:
+        """Seconds this thread spent blocked in waits since the last
+        call (the handler subtracts them from the request latency)."""
+        waited = getattr(self._waited, "s", 0.0)
+        self._waited.s = 0.0
+        return waited
+
     def lease(
-        self, worker_id: str, queues: list[str] | None = None
+        self,
+        worker_id: str,
+        queues: list[str] | None = None,
+        wait_s: float = 0.0,
+        peer_gone=None,
     ) -> dict | None:
         """Grant one task to ``worker_id``, or ``None`` when idle.
 
         ``queues`` restricts the grant to the worker's capability set.
+        With ``wait_s`` an idle broker holds the request until work
+        arrives or the (clamped) wait runs out; ``peer_gone()``, checked
+        after each wait, ends it without a grant when the worker died
+        meanwhile (its task would otherwise sit out a lease TTL).
         Returns ``{task_id, lease_id, queue, ttl_s, payload, attempt,
         trace}``.
         """
-        now = self._clock()
+        allowed = set(queues) if queues else None
+        until = time.monotonic() + _clamp_wait(wait_s)
         with self._lock:
-            self._expire_leases(now)
-            queue = self._pick_queue(set(queues) if queues else None)
-            if queue is None:
-                return None
+            while True:
+                now = self._clock()
+                self._expire_leases(now)
+                queue = self._pick_queue(allowed)
+                if queue is not None:
+                    break
+                if not self._wait_for_change(until):
+                    return None
+                if peer_gone is not None and peer_gone():
+                    return None
             task = self._tasks[self._queues[queue][0]]
             lease_id = uuid.uuid4().hex
             self._grant(
@@ -957,6 +1046,7 @@ class FleetBroker:
             )
             if status == "duplicate":
                 return status
+            self._changed.notify_all()
             trace = task.trace
             queue = task.queue
         with self._request_span(
@@ -966,11 +1056,21 @@ class FleetBroker:
             pass
         return "accepted"
 
-    def result(self, task_id: str) -> tuple[str, bytes | None]:
-        """``(state, outcome_bytes_or_None)`` for one task."""
+    def result(
+        self, task_id: str, wait_s: float = 0.0
+    ) -> tuple[str, bytes | None]:
+        """``(state, outcome_bytes_or_None)`` for one task; with
+        ``wait_s``, held until the outcome lands or the (clamped) wait
+        runs out.  An unknown ``task_id`` raises ``KeyError``."""
+        until = time.monotonic() + _clamp_wait(wait_s)
         with self._lock:
-            self._expire_leases(self._clock())
-            task = self._tasks[task_id]
+            while True:
+                self._expire_leases(self._clock())
+                task = self._tasks[task_id]
+                if task.result is not None:
+                    break
+                if not self._wait_for_change(until):
+                    break
             return task.state, task.result
 
     @property
@@ -1157,8 +1257,20 @@ class FleetBroker:
                 },
             }
 
+    def begin_shutdown(self) -> None:
+        """Wake every waiting request and stop new waits from blocking:
+        each answers at once with what it has (no task, pending)."""
+        with self._lock:
+            self._closing = True
+            self._changed.notify_all()
+
+    @property
+    def closing(self) -> bool:
+        return self._closing
+
     def close(self, shutdown: bool = False) -> None:
         """Close the WAL; ``shutdown=True`` journals a clean exit."""
+        self.begin_shutdown()
         if self._wal is not None:
             if shutdown:
                 with self._lock:
@@ -1169,6 +1281,17 @@ class FleetBroker:
             self._trace_writer.close()
             self._trace_writer = None
             self._spans = None
+
+
+def _clamp_wait(wait_s) -> float:
+    """A requested wait as seconds in ``[0, MAX_WAIT_S]`` (junk → 0)."""
+    try:
+        wait_s = float(wait_s or 0.0)
+    except (TypeError, ValueError):
+        return 0.0
+    if math.isnan(wait_s):
+        return 0.0
+    return min(max(wait_s, 0.0), MAX_WAIT_S)
 
 
 # ----------------------------------------------------------------------
@@ -1190,6 +1313,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-fleet-broker"
+    disable_nagle_algorithm = True  # headers and body go in two writes
+    timeout = IDLE_TIMEOUT_S  # per socket operation; ends idle keep-alive
 
     def log_message(self, fmt, *args):  # quiet by default
         if self.server.verbose:  # type: ignore[attr-defined]
@@ -1211,6 +1336,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", ctype)
         self.send_header("Content-Length", str(len(body)))
+        if self.broker.closing:
+            # Shutting down: the client reconnects (to the restarted
+            # broker) instead of re-asking this one in a tight loop.
+            self.send_header("Connection", "close")
         for key, value in extra.items():
             self.send_header(key.replace("_", "-"), str(value))
         self.end_headers()
@@ -1237,6 +1366,15 @@ class _Handler(BaseHTTPRequestHandler):
             return False
         return True
 
+    def _peer_gone(self) -> bool:
+        """Whether the client closed its end of the connection (end of
+        stream is readable); never blocks."""
+        try:
+            readable, _, _ = select.select([self.connection], [], [], 0)
+            return bool(readable) and self.connection.recv(1, MSG_PEEK) == b""
+        except OSError:
+            return True
+
     def _check_auth(self, method: str, body: bytes) -> bool:
         mac = self.headers.get(AUTH_HEADER)
         if self.broker.check_auth(method, self.path, body, mac):
@@ -1247,12 +1385,14 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------
 
     def _observe(self) -> None:
-        """Record this request's latency once: from :meth:`_send` just
-        before the body goes out (so a client holding its answer never
-        scrapes a ``/metrics`` without it), else when the route raised."""
+        """Record this request's service time once — its latency minus
+        any time blocked in a wait: from :meth:`_send` just before the
+        body goes out (so a client holding its answer never scrapes a
+        ``/metrics`` without it), else when the route raised."""
         if self._start is not None:
             self.broker.observe_request(
-                self.path.partition("?")[0], time.perf_counter() - self._start
+                self.path.partition("?")[0],
+                time.perf_counter() - self._start - self.broker.pop_wait_s(),
             )
             self._start = None
 
@@ -1299,7 +1439,9 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             task_id = params.get("task_id", "")
             try:
-                state, payload = self.broker.result(task_id)
+                state, payload = self.broker.result(
+                    task_id, wait_s=params.get("wait_s")
+                )
             except KeyError:
                 self._json(404, {"error": f"unknown task {task_id!r}"})
                 return
@@ -1352,7 +1494,8 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/lease":
             msg = json.loads(body or b"{}")
             grant = self.broker.lease(
-                msg.get("worker_id", "?"), msg.get("queues")
+                msg.get("worker_id", "?"), msg.get("queues"),
+                wait_s=msg.get("wait_s"), peer_gone=self._peer_gone,
             )
             if grant is None:
                 # 200 + JSON (not 204): an empty-body status code is
@@ -1442,11 +1585,41 @@ class BrokerServer(ThreadingHTTPServer):
         self.port_file = Path(port_file) if port_file else None
         self._inflight = 0
         self._inflight_lock = threading.Lock()
+        self._connections: set = set()  # live keep-alive sockets
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def process_request_thread(self, request, client_address):
+        with self._inflight_lock:
+            self._connections.add(request)
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._inflight_lock:
+                self._connections.discard(request)
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that went away mid-answer is not a broker error."""
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        """Stop listening and stop reading every kept-alive connection:
+        a request being answered still gets its answer, then its
+        handler sees end-of-stream and closes, so no handler serves a
+        closed broker."""
+        super().server_close()
+        with self._inflight_lock:
+            live = list(self._connections)
+        for sock in live:
+            try:
+                sock.shutdown(SHUT_RD)
+            except OSError:
+                pass
 
     def track_inflight(self):
         """Context manager counting requests for the shutdown drain."""
@@ -1465,7 +1638,9 @@ class BrokerServer(ThreadingHTTPServer):
 
     def graceful_close(self, drain_s: float = 2.0) -> None:
         """Drain in-flight handlers, journal the shutdown, fsync the
-        WAL tail, and remove the port file."""
+        WAL tail, and remove the port file.  Waiting requests are woken
+        first, so the drain does not sit out their waits."""
+        self.broker.begin_shutdown()
         deadline = time.monotonic() + drain_s
         while time.monotonic() < deadline:
             with self._inflight_lock:

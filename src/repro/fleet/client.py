@@ -1,10 +1,35 @@
 """Stdlib HTTP client for the fleet broker, hardened for crashes.
 
-One :class:`BrokerClient` per process/thread role (worker loop,
-executor, scheduler).  Each call opens a short-lived
-``http.client.HTTPConnection`` — the broker is a threading server on a
-loopback or rack-local link, so connection reuse buys nothing worth the
-thread-safety bookkeeping.
+One :class:`BrokerClient` per process role (worker loop, executor,
+scheduler).  It keeps its HTTP/1.1 connections alive: a request takes
+an idle connection from the client's pool (or opens one) and gives it
+back after reading the whole response, so a client holds one
+connection per request it has in flight at once — one for a scheduler,
+two for a worker while its heartbeat thread beats.  :meth:`close`
+closes the idle ones.
+
+**TCP_NODELAY on both ends.**  ``http.client`` sends a request body
+over ~2,000 bytes in a second ``send()`` after the headers, and the
+broker writes a response's headers and body in two writes.  On a
+kept-alive connection Nagle's algorithm holds such a second segment
+until the peer's delayed ACK fires, ~40 ms per exchange on Linux.
+``HTTPConnection.connect`` already sets ``TCP_NODELAY`` on the
+client's socket; the broker's handler sets it on its own
+(``disable_nagle_algorithm``).  Measured on a 2-core VM with a
+240-cell loopback sweep: kept-alive connections with the broker's side
+left to Nagle took 21.5 s, against 3.6 s with a connection per request
+(the median before keep-alive); with both ends set, keep-alive plus the
+broker's server-side waits take 2.75 s (medians of 18 alternating
+pairs).
+
+**A dropped idle connection is not an outage.**  The broker closes a
+connection left idle for :data:`repro.fleet.broker.IDLE_TIMEOUT_S`, and a
+restarted broker drops every connection it had.  A request that fails
+with a reset, broken pipe or closed-by-peer on a *reused* connection
+is therefore sent once more, at once, on a fresh connection; that
+retry does not count as a failure, does not fire ``on_reconnect`` and
+does not bump ``reconnects``.  Any other failure — including the fresh
+attempt's — takes the retry-and-backoff path below.
 
 Every request carries the wire fingerprint header; a ``409`` from the
 broker (version skew between this process and the broker/workers)
@@ -22,6 +47,13 @@ length.  Retries are safe because every mutating route is idempotent:
 ``/submit`` carries a client-generated task id, ``/complete`` is
 first-writer-wins, and segment heartbeats carry stream offsets the
 broker deduplicates on.
+
+**Waiting happens at the broker.**  ``lease`` and ``result`` take a
+``wait_s``: the broker holds the request until there is work (or the
+outcome landed) or the wait runs out, clamped to
+:data:`repro.fleet.wire.MAX_WAIT_S`.  Callers loop on these blocking
+requests instead of sleeping between polls, so an outcome reaches its
+waiter as soon as it lands.
 
 A ``transport`` hook wraps the single-shot sender — the seam where
 :class:`repro.core.resilience.faults.FaultyTransport` injects
@@ -41,6 +73,7 @@ import zlib
 
 from repro.fleet.wire import (
     AUTH_HEADER,
+    MAX_WAIT_S,
     TRACE_HEADER,
     WIRE_HEADER,
     sign_request,
@@ -58,6 +91,10 @@ __all__ = [
 #: Exceptions worth retrying: the broker is briefly unreachable
 #: (restarting) or the connection tore mid-exchange.
 RETRIABLE = (OSError, http.client.HTTPException)
+
+#: How a kept-alive connection the broker closed fails on its next use
+#: (``http.client.RemoteDisconnected`` is a ``ConnectionResetError``).
+PEER_CLOSED = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
 
 
 class BrokerError(RuntimeError):
@@ -153,6 +190,8 @@ class BrokerClient:
             zlib.crc32(f"{identity or netloc}".encode())
         )
         self._in_reconnect_hook = False
+        self._idle: list[http.client.HTTPConnection] = []  # not in use
+        self._idle_lock = threading.Lock()
         # Outage bookkeeping persists *across* requests: an outage that
         # outlives one request's retry budget (the request raises, the
         # caller's loop retries later) is still a single outage, and
@@ -175,6 +214,29 @@ class BrokerClient:
     ):
         """One HTTP exchange: sign, send, classify protocol rejections.
 
+        Reuses an idle kept-alive connection when there is one; if the
+        broker had closed it, the request goes once more on a fresh
+        connection (module doc) before any failure is reported.
+        """
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            try:
+                return self._exchange(conn, method, path, body, ctype)
+            except PEER_CLOSED:
+                pass
+        conn = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout_s
+        )
+        return self._exchange(conn, method, path, body, ctype)
+
+    def _exchange(
+        self, conn: http.client.HTTPConnection, method: str, path: str,
+        body: bytes | None, ctype: str,
+    ):
+        """Send on ``conn`` and read the whole response; the connection
+        goes back to the idle pool unless the exchange failed.
+
         Signing happens here — per delivery attempt — so every retry
         or duplicated transport delivery carries a fresh timestamp and
         nonce and never trips the broker's replay rejection.
@@ -186,31 +248,44 @@ class BrokerClient:
             headers[AUTH_HEADER] = sign_request(
                 self.auth_key, method, path, body or b""
             )
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
         try:
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
             data = response.read()
-            if response.status == 409:
-                detail = {}
-                try:
-                    detail = json.loads(data)
-                except (ValueError, UnicodeDecodeError):
-                    pass
-                raise WireMismatchError(
-                    "broker rejected wire fingerprint "
-                    f"(want {detail.get('want')}, got {detail.get('got')}) — "
-                    "broker and workers must run the same repro revision"
-                )
-            if response.status == 401:
-                raise WireAuthError(
-                    f"broker rejected request auth for {path!r} — "
-                    "check --auth-key-file / $REPRO_FLEET_AUTH_KEY"
-                )
-            return response.status, dict(response.getheaders()), data
-        finally:
+        except BaseException:
+            conn.close()
+            raise
+        if conn.sock is not None:  # not closed by a "Connection: close"
+            with self._idle_lock:
+                self._idle.append(conn)
+        if response.status == 409:
+            detail = {}
+            try:
+                detail = json.loads(data)
+            except (ValueError, UnicodeDecodeError):
+                pass
+            raise WireMismatchError(
+                "broker rejected wire fingerprint "
+                f"(want {detail.get('want')}, got {detail.get('got')}) — "
+                "broker and workers must run the same repro revision"
+            )
+        if response.status == 401:
+            raise WireAuthError(
+                f"broker rejected request auth for {path!r} — "
+                "check --auth-key-file / $REPRO_FLEET_AUTH_KEY"
+            )
+        return response.status, dict(response.getheaders()), data
+
+    def close(self) -> None:
+        """Close every idle connection; a later request opens a new one.
+
+        A connection in use by a request in flight is not in the pool:
+        it rejoins it when that request finishes, so call this once the
+        client's requests are done.
+        """
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
             conn.close()
 
     def _request(
@@ -316,11 +391,18 @@ class BrokerClient:
         return json.loads(data)["task_id"]
 
     def lease(
-        self, worker_id: str, queues: list[str] | None = None
+        self,
+        worker_id: str,
+        queues: list[str] | None = None,
+        wait_s: float = 0.0,
     ) -> LeaseGrant | None:
-        status, headers, data = self._json_post(
-            "/lease", {"worker_id": worker_id, "queues": queues}
-        )
+        """One task for ``worker_id``, or ``None`` when the broker had
+        none; ``wait_s`` lets the broker hold the request that long for
+        work to arrive (clamped, see :meth:`_wait`)."""
+        message = {"worker_id": worker_id, "queues": queues}
+        if wait_s > 0:
+            message["wait_s"] = self._wait(wait_s)
+        status, headers, data = self._json_post("/lease", message)
         if status != 200:
             raise BrokerError(f"lease failed ({status}): {data!r}")
         if headers.get("Content-Type") == "application/json":
@@ -410,11 +492,18 @@ class BrokerClient:
             raise BrokerError(f"complete failed ({status}): {data!r}")
         return json.loads(data)["status"]
 
-    def result(self, task_id: str) -> tuple[str, bytes | None]:
-        """``(state, payload_or_None)``; raises ``KeyError`` on unknown."""
-        status, headers, data = self._request(
-            "GET", f"/result?task_id={urllib.parse.quote(task_id)}"
-        )
+    def result(
+        self, task_id: str, wait_s: float = 0.0
+    ) -> tuple[str, bytes | None]:
+        """``(state, payload_or_None)``; raises ``KeyError`` on unknown.
+
+        With ``wait_s`` the broker answers as soon as the outcome lands,
+        or with the pending state once the wait runs out.
+        """
+        path = f"/result?task_id={urllib.parse.quote(task_id)}"
+        if wait_s > 0:
+            path += f"&wait_s={self._wait(wait_s):g}"
+        status, headers, data = self._request("GET", path)
         if status == 404:
             raise KeyError(task_id)
         if status == 202:
@@ -429,19 +518,30 @@ class BrokerClient:
         poll_s: float = 0.05,
         timeout_s: float | None = None,
     ) -> bytes:
-        """Block until one task's outcome lands (polling)."""
+        """Block until one task's outcome lands.
+
+        Each request waits at the broker for at most ``poll_s`` seconds
+        and returns as soon as the outcome lands, so ``poll_s`` bounds
+        how long one request is held, not how late the outcome is seen.
+        ``timeout_s`` is checked after each request.
+        """
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
         while True:
-            _state, payload = self.result(task_id)
+            _state, payload = self.result(task_id, wait_s=poll_s)
             if payload is not None:
                 return payload
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(
                     f"task {task_id} not completed within {timeout_s}s"
                 )
-            time.sleep(poll_s)
+
+    def _wait(self, wait_s: float) -> float:
+        """A requested wait, clamped to the broker's bound and to half
+        this client's socket timeout (a held request must not time out
+        on the client's side)."""
+        return min(float(wait_s), MAX_WAIT_S, self.timeout_s / 2)
 
     def stats(self) -> dict:
         status, _, data = self._request("GET", "/stats")

@@ -26,9 +26,13 @@ Trajectory bitwise-parity with local runs holds by construction:
 - outcomes are folded in the loop's modeled order, exactly as with the
   local thread pool.
 
+``wait`` is one blocking ``/result`` request at a time: the broker
+holds it until the outcome lands or ``poll_s`` runs out, so an outcome
+reaches the loop as soon as it is completed.
+
 ``close()`` leaves nothing orphaned: unfinished remote tasks keep
 running on their workers and complete into the broker's result store,
-but this session stops polling them.
+but this session stops waiting for them and closes its connections.
 """
 
 from __future__ import annotations
@@ -45,14 +49,17 @@ __all__ = ["RemoteExecutor"]
 
 
 class RemoteExecutor:
-    """Ship :class:`EvalJob`\\ s to a fleet broker; poll outcomes back.
+    """Ship :class:`EvalJob`\\ s to a fleet broker; wait outcomes back.
 
     Built either from an optimizer (``RemoteExecutor(opt, url,
     benchmark=...)`` — takes seed and retry policy from it) or
     explicitly via keyword arguments.  Each executor owns one
     session-scoped queue (``eval.<benchmark>.<uuid>``) so concurrent
     tuning sessions on one broker never steal each other's leases and
-    the broker's fair-share dispatch balances across them.
+    the broker's fair-share dispatch balances across them.  ``poll_s``
+    is the longest one ``/result`` request waits at the broker (see
+    :meth:`BrokerClient.wait_result`); ``result_timeout_s`` bounds a
+    whole :meth:`wait`.
     """
 
     def __init__(
@@ -123,7 +130,7 @@ class RemoteExecutor:
         return task_id
 
     def wait(self, job: EvalJob, handle: str) -> EvalOutcome:
-        """Block (polling) until the fleet lands this job's outcome."""
+        """Block until the fleet lands this job's outcome."""
         payload = self.client.wait_result(
             handle, poll_s=self.poll_s, timeout_s=self.result_timeout_s
         )
@@ -146,8 +153,9 @@ class RemoteExecutor:
         return result
 
     def close(self, drain_s: float | None = None) -> None:
-        """Stop polling; in-flight remote work finishes server-side."""
+        """Stop waiting; in-flight remote work finishes server-side."""
         self._closed = True
+        self.client.close()
 
     def __enter__(self) -> "RemoteExecutor":
         return self

@@ -135,10 +135,16 @@ def run_schedule(
     mapping :func:`repro.experiments.harness.run_benchmark` returns,
     aggregated in the identical order — bitwise-equal numbers.
 
+    Outcomes are collected task by task in submission order, one
+    ``/result`` request at a time; ``poll_s`` is the longest one request
+    waits at the broker before it is re-sent (an outcome is returned
+    the moment it lands, so latency does not depend on it).
+    ``timeout_s`` is checked after each wait that came back empty.
+
     ``auth_key`` signs every request on an authenticated fleet;
     ``retry_policy``/``transport`` feed the scheduler's
     :class:`BrokerClient` (reconnect bounds, chaos injection).  Because
-    submits carry client-generated task ids and result polling is
+    submits carry client-generated task ids and result requests are
     read-only, the scheduler survives broker restarts mid-sweep.
     """
     from repro.experiments.parallel import (
@@ -196,51 +202,34 @@ def run_schedule(
                 client.trace_context = None
 
     sessions: list[tuple[SessionSpec, list, list[str]]] = []
-    for spec in specs:
-        client.create_queue(spec.queue)
-        jobs = _session_jobs(
-            spec, scale,
-            trace_dir=trace_dir, cache_dir=cache_dir,
-            journal_dir=journal_dir,
+    try:
+        for spec in specs:
+            client.create_queue(spec.queue)
+            jobs = _session_jobs(
+                spec, scale,
+                trace_dir=trace_dir, cache_dir=cache_dir,
+                journal_dir=journal_dir,
+            )
+            # One trace id per session: every span the session's cells
+            # emit (any worker, any attempt) lands on the same merged
+            # timeline.
+            session_trace = uuid.uuid4().hex if spans is not None else None
+            task_ids = [_submit(spec, session_trace, job) for job in jobs]
+            sessions.append((spec, jobs, task_ids))
+            if verbose:
+                print(
+                    f"session {spec.name}: submitted {len(jobs)} cells "
+                    f"to {spec.queue}"
+                )
+        if trace_writer is not None:
+            trace_writer.close()
+        outcomes = _collect(
+            client,
+            [tid for _, _, task_ids in sessions for tid in task_ids],
+            poll_s, timeout_s,
         )
-        # One trace id per session: every span the session's cells emit
-        # (any worker, any attempt) lands on the same merged timeline.
-        session_trace = uuid.uuid4().hex if spans is not None else None
-        task_ids = [_submit(spec, session_trace, job) for job in jobs]
-        sessions.append((spec, jobs, task_ids))
-        if verbose:
-            print(
-                f"session {spec.name}: submitted {len(jobs)} cells "
-                f"to {spec.queue}"
-            )
-
-    if trace_writer is not None:
-        trace_writer.close()
-
-    # Poll every outstanding task until all sessions drain (or timeout).
-    outcomes: dict[str, object] = {}
-    waiting = {
-        tid for _, _, task_ids in sessions for tid in task_ids
-    }
-    deadline = (
-        time.monotonic() + timeout_s if timeout_s is not None else None
-    )
-    while waiting:
-        landed = set()
-        for task_id in waiting:
-            _state, payload = client.result(task_id)
-            if payload is not None:
-                outcomes[task_id] = load(payload)
-                landed.add(task_id)
-        waiting -= landed
-        if not waiting:
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(
-                f"{len(waiting)} fleet task(s) still outstanding after "
-                f"{timeout_s}s"
-            )
-        time.sleep(poll_s)
+    finally:
+        client.close()
 
     results = {}
     for spec, jobs, task_ids in sessions:
@@ -259,6 +248,36 @@ def run_schedule(
             (spec.benchmark,), spec.methods, session_outcomes
         )[spec.benchmark]
     return results
+
+
+def _collect(
+    client: BrokerClient,
+    task_ids: list[str],
+    poll_s: float,
+    timeout_s: float | None,
+) -> dict[str, object]:
+    """Every task's decoded outcome, waited for in submission order.
+
+    One ``/result`` request per task when its outcome lands within
+    ``poll_s`` of being asked for; a wait that runs out is re-sent
+    after the deadline check.
+    """
+    outcomes: dict[str, object] = {}
+    deadline = (
+        time.monotonic() + timeout_s if timeout_s is not None else None
+    )
+    for done, task_id in enumerate(task_ids):
+        while True:
+            _state, payload = client.result(task_id, wait_s=poll_s)
+            if payload is not None:
+                outcomes[task_id] = load(payload)
+                break
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"{len(task_ids) - done} fleet task(s) still "
+                    f"outstanding after {timeout_s}s"
+                )
+    return outcomes
 
 
 def _summary(specs, results) -> dict:

@@ -62,6 +62,7 @@ __all__ = [
     "AUTH_HEADER",
     "AUTH_KEY_ENV",
     "AUTH_KEY_FILE_ENV",
+    "MAX_WAIT_S",
     "NonceCache",
     "PINNED_FIELDS",
     "TRACE_HEADER",
@@ -105,6 +106,12 @@ TRACE_HEADER = "X-Repro-Trace"
 #: broker restart mid-request; narrow enough that a captured request
 #: goes stale quickly.
 AUTH_FRESHNESS_S = 120.0
+
+#: Longest server-side wait one ``/lease`` or ``/result`` request may
+#: ask for.  The broker clamps every requested wait to it, below the
+#: client's default 30 s socket timeout, so a request blocked at the
+#: broker never reads as a dead broker.
+MAX_WAIT_S = 20.0
 
 #: Environment fallbacks for the shared key (value, or a file path).
 AUTH_KEY_ENV = "REPRO_FLEET_AUTH_KEY"

@@ -45,9 +45,14 @@ tail of its cell.  ``--journal-root`` remaps cell journal dirs to a
 worker-private directory, modeling separate machines (the only path
 journal bytes can travel is through the broker).
 
+**Idle workers wait at the broker.**  An idle agent does not sleep
+between lease requests: each ``/lease`` is held at the broker for up
+to ``--poll`` seconds and answers as soon as a task is submitted (or
+an expired lease is re-queued), so a cell starts the moment it exists.
+
 **Broker outages.**  A worker never dies on ``ConnectionRefusedError``:
 requests retry with deterministic-jitter backoff inside the client,
-and the serve loop keeps polling through a continuous-failure window
+and the serve loop keeps retrying through a continuous-failure window
 of ``--broker-patience`` seconds (riding out broker restarts — a
 rehydrated lease stays valid when the outage is shorter than its TTL)
 before giving up.  Each survived outage is reported to the broker as a
@@ -363,8 +368,11 @@ class FleetWorker:
                 continue
 
     def _serve_one(self) -> bool:
-        """Lease and run one task; ``False`` when the broker was idle."""
-        grant = self.client.lease(self.worker_id, self.queues)
+        """Lease and run one task; ``False`` when the broker stayed idle
+        for the whole ``poll_s`` wait."""
+        grant = self.client.lease(
+            self.worker_id, self.queues, wait_s=self.poll_s
+        )
         if grant is None:
             return False
         self._lease_ttl_s = grant.ttl_s
@@ -424,6 +432,7 @@ class FleetWorker:
             return self._run()
         finally:
             self._close_telemetry()
+            self.client.close()
 
     def _run(self) -> int:
         check_wire_schema()
@@ -476,7 +485,6 @@ class FleetWorker:
                 and now - idle_since >= self.exit_on_idle_s
             ):
                 return 0
-            time.sleep(self.poll_s)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -511,7 +519,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--poll", type=float, default=0.2,
-        help="idle poll interval in seconds (default 0.2)",
+        help="longest one idle lease request waits at the broker for "
+             "work, in seconds (default 0.2); a task submitted during "
+             "the wait is leased at once",
     )
     parser.add_argument(
         "--max-tasks", type=int, default=0,
@@ -520,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--exit-on-idle", type=float, default=0.0,
         help="exit after this many consecutive idle seconds "
-             "(0 = keep polling forever)",
+             "(0 = keep waiting for work forever)",
     )
     parser.add_argument(
         "--stream-interval", type=float, default=0.0,

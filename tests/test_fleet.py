@@ -11,11 +11,13 @@ single-process runs, surviving a SIGKILL'd worker mid-lease via lease
 expiry with no duplicate commits.
 """
 
+import contextlib
 import dataclasses
 import http.client
 import math
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -28,8 +30,10 @@ import pytest
 from repro.core.optimizer import CorrelatedMFBO, MFBOSettings
 from repro.experiments.harness import SMOKE_SCALE, run_benchmark
 from repro.experiments.parallel import Job, JobOutcome
+from repro.core.resilience.retry import RetryPolicy
+from repro.fleet import broker as broker_module
 from repro.fleet.broker import FleetBroker, serve
-from repro.fleet.client import BrokerClient, BrokerError, WireMismatchError
+from repro.fleet.client import BrokerClient, WireAuthError, WireMismatchError
 from repro.fleet.executor import RemoteExecutor
 from repro.fleet.schedule import SessionSpec, run_schedule
 from repro.fleet.wire import (
@@ -331,6 +335,205 @@ class TestBrokerHttp:
         status, _, _data = client._request("POST", "/submit", b"x")
         assert status == 200
         assert "default" in client.stats()["queues"]
+
+
+# ----------------------------------------------------------------------
+# server-side waits and kept-alive connections
+# ----------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _serving(**kwargs):
+    """An in-process broker on a daemon thread (``serve`` kwargs)."""
+    server = serve(**{"port": 0, **kwargs})
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.broker.close()
+        thread.join(timeout=5.0)
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a thread; returns (thread, box) where ``box`` gets
+    ``value`` and ``took`` (seconds) once it returns."""
+    box: dict = {}
+
+    def run():
+        start = time.monotonic()
+        box["value"] = fn()
+        box["took"] = time.monotonic() - start
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, box
+
+
+class TestWaitsAndKeepAlive:
+    def test_waiting_lease_returns_on_submit(self, broker_server):
+        client = BrokerClient(broker_server.url)
+        client.create_queue("q")
+        waiter = BrokerClient(broker_server.url)
+        thread, box = _in_thread(lambda: waiter.lease("w0", wait_s=10.0))
+        time.sleep(0.3)
+        task_id = client.submit("q", b"x")
+        thread.join(timeout=10.0)
+        assert box["value"].task_id == task_id
+        # Woken by the submit, not by the next once-a-second sweep.
+        assert 0.25 <= box["took"] < 0.8
+
+    def test_waiting_result_returns_on_complete(self, broker_server):
+        client = BrokerClient(broker_server.url)
+        task_id = client.submit("q", b"x")
+        grant = client.lease("w0")
+        waiter = BrokerClient(broker_server.url)
+        thread, box = _in_thread(
+            lambda: waiter.result(task_id, wait_s=10.0)
+        )
+        time.sleep(0.3)
+        client.complete(task_id, b"done", lease_id=grant.lease_id)
+        thread.join(timeout=10.0)
+        assert box["value"] == ("done", b"done")
+        # Woken by the completion, not by the next once-a-second sweep.
+        assert 0.25 <= box["took"] < 0.8
+
+    def test_result_wait_is_not_service_time(self, broker_server):
+        """``fleet_request_latency_seconds`` observes what the broker
+        worked on a request, not the time it held it in a wait."""
+        client = BrokerClient(broker_server.url)
+        task_id = client.submit("q", b"x")
+        grant = client.lease("w0")
+        timer = threading.Timer(
+            0.3, client.complete, (task_id, b"done"),
+            {"lease_id": grant.lease_id},
+        )
+        timer.start()
+        waiter = BrokerClient(broker_server.url)
+        start = time.monotonic()
+        assert waiter.result(task_id, wait_s=10.0) == ("done", b"done")
+        assert time.monotonic() - start >= 0.25
+        timer.join()
+        latency = broker_server.broker.request_latency["/result"].snapshot()
+        assert latency["count"] == 1
+        assert latency["sum"] < 0.1, latency
+
+    def test_expired_lease_goes_to_waiting_worker(self):
+        """A waiting worker sweeps expiries itself: the victim's lease
+        expires and is re-granted with no other request arriving."""
+        with _serving(lease_ttl_s=0.3) as srv:
+            client = BrokerClient(srv.url)
+            task_id = client.submit("q", b"x")
+            first = client.lease("victim")  # never heartbeats
+            survivor = BrokerClient(srv.url)
+            start = time.monotonic()
+            grant = survivor.lease("survivor", wait_s=10.0)
+            took = time.monotonic() - start
+            assert grant is not None and grant.task_id == task_id
+            assert grant.attempt == 2 and grant.lease_id != first.lease_id
+            assert took < 3.0  # TTL plus at most one expiry sweep
+            assert srv.broker.expiries == 1
+
+    def test_killed_waiting_worker_is_not_granted(self, broker_server):
+        """A worker SIGKILL'd while its lease request is held must not
+        take the next task with it (that task would sit out a TTL)."""
+        ghost = subprocess.Popen(
+            [
+                sys.executable, "-c",
+                "import sys; from repro.fleet.client import BrokerClient; "
+                "BrokerClient(sys.argv[1]).lease('ghost', wait_s=10.0)",
+                broker_server.url,
+            ],
+            env=_fleet_env(),
+        )
+        try:
+            time.sleep(1.0)  # the ghost's lease request is now held
+        finally:
+            ghost.kill()
+            ghost.wait(timeout=10.0)
+        time.sleep(0.2)
+        client = BrokerClient(broker_server.url)
+        task_id = client.submit("q", b"x")
+        time.sleep(0.3)
+        stats = client.stats()
+        assert stats["leases"] == 0 and stats["queues"]["q"]["queued"] == 1
+        grant = client.lease("survivor")
+        assert grant.task_id == task_id and grant.attempt == 1
+
+    def test_sigterm_wakes_waiters_and_drains_fast(self, tmp_path):
+        log_dir = tmp_path / "fleet-log"
+        log_dir.mkdir()
+        proc, url = _start_broker(tmp_path, 30.0, log_dir)
+        try:
+            client = BrokerClient(url)
+            task_id = client.submit("q", b"x")
+            thread, box = _in_thread(
+                lambda: client.result(task_id, wait_s=15.0)
+            )
+            time.sleep(0.5)  # the request is now held at the broker
+            signalled = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10.0) == 0
+            exited = time.monotonic() - signalled
+            thread.join(timeout=10.0)
+        finally:
+            _stop(proc)
+        assert box["value"] == ("queued", None)
+        # Well under the wait, and under the 2 s drain bound a waiter
+        # left blocked would run into.
+        assert exited < 1.5, exited
+        assert box["took"] < 0.5 + 1.5
+
+    def test_dropped_idle_connection_is_not_an_outage(self, monkeypatch):
+        """The broker closes an idle kept-alive connection: the next
+        request goes again at once on a fresh connection, with no
+        reconnect counted.  A broker that is really gone still counts
+        one outage once it is back."""
+        monkeypatch.setattr(broker_module._Handler, "timeout", 0.2)
+        seen = []
+        policy = RetryPolicy(
+            max_attempts=2, base_backoff_s=0.01, max_backoff_s=0.02
+        )
+        with _serving() as srv:
+            port = srv.server_address[1]
+            client = BrokerClient(
+                srv.url, retry_policy=policy,
+                on_reconnect=lambda *args: seen.append(args),
+            )
+            client.create_queue("q")
+            (first,) = client._idle
+            time.sleep(0.6)  # past the idle timeout: the broker closed it
+            client.create_queue("q2")
+            assert client._idle and client._idle[0] is not first
+            assert client.reconnects == 0 and seen == []
+        with pytest.raises(OSError):
+            client.create_queue("q3")  # stale, then refused: an outage
+        with _serving(port=port):
+            client.create_queue("q4")
+        assert client.reconnects == 1 and len(seen) == 1
+
+    def test_tcp_nodelay_on_both_ends(self, broker_server):
+        client = BrokerClient(broker_server.url)
+        client.stats()
+        (conn,) = client._idle
+        assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        (served,) = broker_server._connections
+        assert served.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_auth_reject_keeps_the_connection(self):
+        key = b"fleet-test-shared-key"
+        with _serving(auth_key=key) as srv:
+            client = BrokerClient(srv.url, auth_key=b"not-the-key")
+            with pytest.raises(WireAuthError):
+                client.create_queue("q")
+            (conn,) = client._idle
+            client.auth_key = key
+            client.create_queue("q")
+            assert client._idle == [conn]  # the same connection carried it
+            assert len(srv._connections) == 1
+            assert "q" in client.stats()["queues"]
 
 
 # ----------------------------------------------------------------------

@@ -669,6 +669,19 @@ class TestSignals:
                 os.kill(os.getpid(), signal.SIGTERM)
         assert excinfo.value.code == 128 + signal.SIGTERM
 
+    def test_swallowed_delivery_still_exits_with_signal_code(self):
+        """A library that turns the handler's ``SystemExit`` into an
+        error of its own (numpy's structured-array ``==`` raises
+        ``TypeError``) must not turn a SIGTERM into exit code 1."""
+        with pytest.raises(SystemExit) as excinfo:
+            with terminate_on_signals((signal.SIGTERM,)):
+                try:
+                    os.kill(os.getpid(), signal.SIGTERM)
+                except BaseException as exc:
+                    raise TypeError("converted by a library") from exc
+        assert excinfo.value.code == 128 + signal.SIGTERM
+        assert isinstance(excinfo.value.__cause__, TypeError)
+
     def test_previous_handler_restored(self):
         before = signal.getsignal(signal.SIGTERM)
         with terminate_on_signals((signal.SIGTERM,)):
